@@ -60,6 +60,56 @@ size_t Rng::Categorical(const std::vector<double>& weights) {
   return weights.size() - 1;  // Floating-point slack lands on the last index.
 }
 
+size_t Rng::SparseCategorical(const uint32_t* cols, const double* sums,
+                              size_t count, size_t n) {
+  const double total = count == 0 ? 0.0 : sums[count - 1];
+  if (total <= 0) return n;
+  const double u = Uniform() * total;
+  for (size_t k = 0; k < count; ++k) {
+    if (u < sums[k]) return cols[k];
+  }
+  return n - 1;  // The same slack as Categorical: the dense last index.
+}
+
 Rng Rng::Split() { return Rng(Next()); }
+
+double GuideTable::Reset(const std::vector<double>& weights) {
+  const size_t n = weights.size();
+  sums_.resize(n);
+  double acc = 0;
+  for (size_t i = 0; i < n; ++i) {
+    acc += weights[i];
+    sums_[i] = acc;
+  }
+  total_ = acc;
+  if (total_ <= 0) return total_;  // Draw never reads the guide.
+  guide_.resize(n);
+  scale_ = static_cast<double>(n) / total_;
+  size_t j = 0;
+  for (size_t i = 0; i < n && j < n; ++i) {
+    const size_t b = Bucket(sums_[i]);
+    while (j <= b) guide_[j++] = i;
+  }
+  while (j < n) guide_[j++] = n - 1;
+  return total_;
+}
+
+size_t GuideTable::Draw(Rng* rng) const {
+  const size_t n = sums_.size();
+  if (total_ <= 0) return n;
+  const double u = rng->Uniform() * total_;
+  // `!(u < sum)` rather than `u >= sum`: a NaN total scans to the last
+  // index, as Categorical does.
+  size_t i = guide_[Bucket(u)];
+  while (i + 1 < n && !(u < sums_[i])) ++i;
+  return i;
+}
+
+size_t GuideTable::Bucket(double x) const {
+  // Monotone in x; NaN and overflow land in the last bucket.
+  const double b = x * scale_;
+  if (!(b < static_cast<double>(sums_.size()))) return sums_.size() - 1;
+  return b > 0 ? static_cast<size_t>(b) : 0;
+}
 
 }  // namespace lahar

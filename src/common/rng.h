@@ -31,6 +31,16 @@ class Rng {
   /// Returns weights.size() if all weights are zero.
   size_t Categorical(const std::vector<double>& weights);
 
+  /// Categorical over a dense vector of `n` weights given only its nonzero
+  /// entries: `cols[k]` is the k-th nonzero index (increasing) and `sums[k]`
+  /// the running sum of the weights through it, added in index order.
+  /// Returns exactly what Categorical returns on the dense vector and
+  /// consumes the same draw: zeros add +0.0 to the running sum, so the first
+  /// index whose sum exceeds the uniform is always a nonzero one. Returns n,
+  /// consuming nothing, if `count` is 0 or the sum is not positive.
+  size_t SparseCategorical(const uint32_t* cols, const double* sums,
+                           size_t count, size_t n);
+
   /// Bernoulli draw with success probability p.
   bool Bernoulli(double p) { return Uniform() < p; }
 
@@ -39,6 +49,34 @@ class Rng {
 
  private:
   uint64_t s_[4];
+};
+
+/// \brief Repeated Categorical draws from one weight vector in O(1)
+/// expected time each (Chen & Asau's indexed search).
+///
+/// `Reset` keeps the running sums of the weights, added in index order as
+/// Categorical adds them, and an n-bucket guide table: guide[j] is the
+/// first index whose running sum falls in bucket j or a later one. A draw
+/// takes u = Uniform() * total, exactly as Categorical does, and scans from
+/// the guide entry of u's bucket to the first running sum above u. Bucketing
+/// is monotone and u is below the sum at its answer, so the scan never
+/// starts past the answer: every draw returns Categorical's index.
+class GuideTable {
+ public:
+  /// Indexes `weights` (non-negative, or the draws mean nothing) and returns
+  /// their total.
+  double Reset(const std::vector<double>& weights);
+
+  /// The index Categorical(weights) would return, consuming the same draw.
+  size_t Draw(Rng* rng) const;
+
+ private:
+  size_t Bucket(double x) const;
+
+  std::vector<double> sums_;
+  std::vector<size_t> guide_;
+  double total_ = 0;
+  double scale_ = 0;  // buckets per unit of weight
 };
 
 }  // namespace lahar

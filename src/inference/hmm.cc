@@ -12,13 +12,27 @@ Result<DiscreteHmm> DiscreteHmm::Create(std::vector<double> prior,
       transition.cols() != prior.size()) {
     return Status::InvalidArgument("transition shape mismatch");
   }
+  auto valid = [](double p) { return std::isfinite(p) && p >= 0; };
+  for (size_t s = 0; s < prior.size(); ++s) {
+    if (!valid(prior[s])) {
+      return Status::InvalidArgument("prior entry " + std::to_string(s) +
+                                     " is negative or not finite");
+    }
+  }
   double total = Sum(prior);
   if (std::fabs(total - 1.0) > 1e-6) {
     return Status::InvalidArgument("prior does not sum to 1");
   }
   for (size_t r = 0; r < transition.rows(); ++r) {
     double row = 0;
-    for (size_t c = 0; c < transition.cols(); ++c) row += transition.At(r, c);
+    for (size_t c = 0; c < transition.cols(); ++c) {
+      if (!valid(transition.At(r, c))) {
+        return Status::InvalidArgument(
+            "transition entry (" + std::to_string(r) + ", " +
+            std::to_string(c) + ") is negative or not finite");
+      }
+      row += transition.At(r, c);
+    }
     if (std::fabs(row - 1.0) > 1e-6) {
       return Status::InvalidArgument("transition row " + std::to_string(r) +
                                      " does not sum to 1");
@@ -27,6 +41,20 @@ Result<DiscreteHmm> DiscreteHmm::Create(std::vector<double> prior,
   DiscreteHmm hmm;
   hmm.prior_ = std::move(prior);
   hmm.transition_ = std::move(transition);
+  const size_t N = hmm.num_states();
+  hmm.succ_begin_.reserve(N + 1);
+  hmm.succ_begin_.push_back(0);
+  for (size_t r = 0; r < N; ++r) {
+    const double* row = hmm.transition_.Row(r);
+    double acc = 0;
+    for (size_t c = 0; c < N; ++c) {
+      if (row[c] == 0) continue;
+      acc += row[c];
+      hmm.succ_cols_.push_back(static_cast<uint32_t>(c));
+      hmm.succ_sums_.push_back(acc);
+    }
+    hmm.succ_begin_.push_back(hmm.succ_cols_.size());
+  }
   return hmm;
 }
 
@@ -194,11 +222,8 @@ std::vector<size_t> DiscreteHmm::SampleTrajectory(size_t T, Rng* rng) const {
   size_t cur = rng->Categorical(prior_);
   if (cur >= num_states()) cur = 0;
   path[0] = cur;
-  std::vector<double> row(num_states());
   for (size_t t = 1; t < T; ++t) {
-    const double* r = transition_.Row(cur);
-    row.assign(r, r + num_states());
-    size_t next = rng->Categorical(row);
+    size_t next = SampleSuccessor(cur, rng);
     cur = next >= num_states() ? cur : next;
     path[t] = cur;
   }

@@ -29,7 +29,7 @@ using Likelihoods = std::vector<std::vector<double>>;
 class DiscreteHmm {
  public:
   /// `prior` must be a distribution of size N; `transition` an N x N
-  /// row-stochastic matrix.
+  /// row-stochastic matrix. Every entry must be finite and non-negative.
   static Result<DiscreteHmm> Create(std::vector<double> prior,
                                     Matrix transition);
 
@@ -61,11 +61,26 @@ class DiscreteHmm {
   /// observations) — used by the simulator for ground-truth motion.
   std::vector<size_t> SampleTrajectory(size_t T, Rng* rng) const;
 
+  /// Draws the successor of `state`: exactly what rng->Categorical returns
+  /// on transition row `state`, consuming the same draw, in time linear in
+  /// the row's nonzeros rather than in N.
+  size_t SampleSuccessor(size_t state, Rng* rng) const {
+    const size_t begin = succ_begin_[state];
+    return rng->SparseCategorical(succ_cols_.data() + begin,
+                                  succ_sums_.data() + begin,
+                                  succ_begin_[state + 1] - begin, num_states());
+  }
+
  private:
   Status CheckLikelihoods(const Likelihoods& likelihoods) const;
 
   std::vector<double> prior_;
   Matrix transition_;
+  // Sparse successor table for Rng::SparseCategorical: row r's nonzero
+  // columns and their running sums sit at [succ_begin_[r], succ_begin_[r+1]).
+  std::vector<size_t> succ_begin_;
+  std::vector<uint32_t> succ_cols_;
+  std::vector<double> succ_sums_;
 };
 
 }  // namespace lahar

@@ -1,5 +1,8 @@
 #include "inference/particle_filter.h"
 
+#include <algorithm>
+#include <cassert>
+
 namespace lahar {
 
 ParticleFilter::ParticleFilter(const DiscreteHmm* model, size_t num_particles,
@@ -18,41 +21,38 @@ std::vector<double> ParticleFilter::Step(
     const std::vector<double>& likelihood) {
   const size_t N = model_->num_states();
   const size_t P = particles_.size();
+  assert(likelihood.size() == N);
 
   // Predict: move each particle independently through the motion model.
   // (The initial particles already represent the prior at the first step.)
   if (!first_step_) {
-    std::vector<double> row(N);
     for (uint32_t& p : particles_) {
-      const double* r = model_->transition().Row(p);
-      row.assign(r, r + N);
-      size_t next = rng_.Categorical(row);
+      size_t next = model_->SampleSuccessor(p, &rng_);
       if (next < N) p = static_cast<uint32_t>(next);
     }
   }
   first_step_ = false;
 
   // Weight by the observation likelihood.
-  double total = 0;
-  for (size_t i = 0; i < P; ++i) {
-    weights_[i] = likelihood[particles_[i]];
-    total += weights_[i];
-  }
-  if (total <= 0) {
+  for (size_t i = 0; i < P; ++i) weights_[i] = likelihood[particles_[i]];
+  if (resampler_.Reset(weights_) <= 0) {
     // Total depletion: re-seed from the likelihood itself.
     std::vector<double> fallback = likelihood;
     if (Sum(fallback) <= 0) fallback.assign(N, 1.0);
+    GuideTable reseed;
+    reseed.Reset(fallback);
     for (uint32_t& p : particles_) {
-      size_t s = rng_.Categorical(fallback);
+      size_t s = reseed.Draw(&rng_);
       if (s < N) p = static_cast<uint32_t>(s);
     }
     std::fill(weights_.begin(), weights_.end(), 1.0);
+    resampler_.Reset(weights_);
   }
 
   // Multinomial resampling.
   scratch_.resize(P);
   for (size_t i = 0; i < P; ++i) {
-    size_t pick = rng_.Categorical(weights_);
+    size_t pick = resampler_.Draw(&rng_);
     scratch_[i] = particles_[pick < P ? pick : 0];
   }
   particles_.swap(scratch_);

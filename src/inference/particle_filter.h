@@ -28,6 +28,12 @@ class ParticleFilter {
   /// (an estimate of the filtered marginal). If every particle receives
   /// zero weight, particles are re-seeded from the exact filtered posterior
   /// of the likelihood alone (total particle depletion recovery).
+  ///
+  /// Requires likelihood.size() == the model's num_states(), with every
+  /// entry finite and non-negative. Prediction walks only the nonzero
+  /// entries of each particle's motion row and resampling takes O(1)
+  /// expected time per particle, yet every draw is exactly the one a dense
+  /// Rng::Categorical call would make (docs/PERF.md, "Inference").
   std::vector<double> Step(const std::vector<double>& likelihood);
 
   size_t num_particles() const { return particles_.size(); }
@@ -38,6 +44,7 @@ class ParticleFilter {
   Rng rng_;
   std::vector<uint32_t> particles_;  // current state per particle
   std::vector<double> weights_;
+  GuideTable resampler_;
   std::vector<uint32_t> scratch_;
   bool first_step_ = true;
 };

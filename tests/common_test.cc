@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <set>
 
 #include "common/interner.h"
@@ -117,6 +118,107 @@ TEST(RngTest, CategoricalAllZeroReturnsSize) {
   Rng rng(4);
   std::vector<double> w = {0.0, 0.0};
   EXPECT_EQ(rng.Categorical(w), w.size());
+}
+
+// Random non-negative weights with runs of zeros, including at either end.
+std::vector<double> WeightsWithZeroRuns(Rng* gen) {
+  std::vector<double> w(1 + gen->Below(40), 0.0);
+  for (size_t i = 0; i < w.size();) {
+    const size_t run = 1 + gen->Below(5);
+    const bool zero = gen->Bernoulli(0.5);
+    for (size_t k = 0; k < run && i < w.size(); ++k, ++i) {
+      w[i] = zero ? 0.0 : gen->Uniform() * 3.0;
+    }
+  }
+  return w;
+}
+
+// The sparse form Rng::SparseCategorical reads: nonzero indices and the
+// running sums through them, added in index order.
+void RunningSums(const std::vector<double>& w, std::vector<uint32_t>* cols,
+                 std::vector<double>* sums) {
+  double acc = 0;
+  for (size_t i = 0; i < w.size(); ++i) {
+    if (w[i] == 0) continue;
+    acc += w[i];
+    cols->push_back(static_cast<uint32_t>(i));
+    sums->push_back(acc);
+  }
+}
+
+TEST(RngTest, SparseCategoricalMatchesCategorical) {
+  Rng gen(11);
+  for (int trial = 0; trial < 500; ++trial) {
+    const std::vector<double> w = WeightsWithZeroRuns(&gen);
+    std::vector<uint32_t> cols;
+    std::vector<double> sums;
+    RunningSums(w, &cols, &sums);
+    Rng dense(trial), sparse(trial);
+    for (int d = 0; d < 50; ++d) {
+      ASSERT_EQ(sparse.SparseCategorical(cols.data(), sums.data(),
+                                         cols.size(), w.size()),
+                dense.Categorical(w))
+          << "trial " << trial << " draw " << d;
+    }
+    EXPECT_EQ(sparse.Next(), dense.Next());
+  }
+}
+
+TEST(RngTest, GuideTableMatchesCategorical) {
+  Rng gen(12);
+  GuideTable table;  // reused across sizes, as the particle filter does
+  for (int trial = 0; trial < 500; ++trial) {
+    const std::vector<double> w = WeightsWithZeroRuns(&gen);
+    Rng dense(trial), guided(trial);
+    const double total = table.Reset(w);
+    EXPECT_EQ(total, Sum(w));
+    for (size_t d = 0; d < 2 * w.size() + 10; ++d) {
+      ASSERT_EQ(table.Draw(&guided), dense.Categorical(w))
+          << "trial " << trial << " draw " << d;
+    }
+    EXPECT_EQ(guided.Next(), dense.Next());
+  }
+}
+
+TEST(RngTest, RunningSumDrawsOfAllZeroWeightsConsumeNothing) {
+  const std::vector<double> w(6, 0.0);
+  Rng untouched(4), sparse(4), guided(4), dense(4);
+  EXPECT_EQ(sparse.SparseCategorical(nullptr, nullptr, 0, w.size()), w.size());
+  GuideTable table;
+  EXPECT_EQ(table.Reset(w), 0.0);
+  EXPECT_EQ(table.Draw(&guided), w.size());
+  EXPECT_EQ(table.Reset({}), 0.0);
+  EXPECT_EQ(table.Draw(&guided), 0u);
+  EXPECT_EQ(dense.Categorical(w), w.size());
+  const uint64_t next = untouched.Next();
+  EXPECT_EQ(sparse.Next(), next);
+  EXPECT_EQ(guided.Next(), next);
+  EXPECT_EQ(dense.Next(), next);
+}
+
+TEST(RngTest, RunningSumDrawsFallBackToDenseLastIndex) {
+  // A non-finite total never satisfies u < sum; Categorical then returns the
+  // dense last index, not the last nonzero one, and so must the others.
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    const std::vector<double> w = {0.0, 0.5, bad, 0.0, 0.0};
+    std::vector<uint32_t> cols;
+    std::vector<double> sums;
+    RunningSums(w, &cols, &sums);
+    GuideTable table;
+    table.Reset(w);
+    Rng dense(8), sparse(8), guided(8);
+    for (int d = 0; d < 20; ++d) {
+      const size_t expect = dense.Categorical(w);
+      EXPECT_EQ(sparse.SparseCategorical(cols.data(), sums.data(),
+                                         cols.size(), w.size()),
+                expect);
+      EXPECT_EQ(table.Draw(&guided), expect);
+    }
+    const uint64_t next = dense.Next();
+    EXPECT_EQ(sparse.Next(), next);
+    EXPECT_EQ(guided.Next(), next);
+  }
 }
 
 TEST(RngTest, SplitProducesIndependentStream) {
