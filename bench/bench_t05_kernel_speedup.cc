@@ -1,10 +1,9 @@
 // Kernel speedup experiment: ticks/sec of the Extended Regular hot path
-// under its three execution modes —
+// under its two execution modes —
 //
 //   map    — the dynamic hash-map path (the pre-kernel implementation),
-//   kernel — compiled transition kernels, each chain owning its state,
 //   soa    — compiled kernels with all chains' state packed into the
-//            engine's contiguous SoA arena (the default configuration).
+//            engine's contiguous SoA arena (the only compiled layout).
 //
 // The workload is the paper's Section 4.3 shape: m tags moving through the
 // building, one per-key chain each, on both the archived Markovian streams
@@ -16,7 +15,6 @@
 // One `JSON {...}` line per (workload, config) cell — grep ^JSON and feed
 // two runs to bench/compare.py to gate regressions. `--smoke` shrinks the
 // workload to a ~2s ctest smoke check.
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -42,10 +40,8 @@ struct BenchConfig {
 std::vector<BenchConfig> Configs() {
   BenchConfig map{"map", {}};
   map.options.kernel.max_flat_states = 0;
-  BenchConfig kernel{"kernel", {}};
-  kernel.options.soa_arena = false;
   BenchConfig soa{"soa", {}};
-  return {map, kernel, soa};
+  return {map, soa};
 }
 
 struct CellResult {
@@ -140,12 +136,11 @@ int RunWorkload(const Scenario& scenario, StreamKind kind,
 // The workload the SIMD step path is built for: many per-tag Markov chains
 // over one shared dense CPT (every tag interns the same transition-row
 // class; initial distributions stay distinct per tag so the fingerprint's
-// t==1 exclusion is what makes the class shared). Three configs ride the
+// t==1 exclusion is what makes the class shared). Two configs ride the
 // same SoA arena:
 //
-//   soa          — scalar CSR walk forced (step_mode=kScalar): the reference
-//   soa-simd     — vectorized dense-row kernels (bit-identical to soa)
-//   soa-simd-f32 — float32 row tier (bounded drift; see automaton/rows.h)
+//   soa      — scalar CSR walk forced (step_mode=kScalar): the reference
+//   soa-simd — vectorized dense-row kernels (bit-identical to soa)
 //
 // The summary record carries the two CI-gated metrics: kernel_simd_speedup
 // (tps soa-simd / tps soa) and bytes_per_chain_reduction (bpc soa / bpc
@@ -282,9 +277,6 @@ int RunWideWorkload(size_t tags, Timestamp horizon, double min_ms) {
   scalar.options.step_mode = KernelStepMode::kScalar;
   BenchConfig simd{"soa-simd", {}};
   simd.options.step_mode = KernelStepMode::kSimd;
-  BenchConfig f32{"soa-simd-f32", {}};
-  f32.options.step_mode = KernelStepMode::kSimd;
-  f32.options.float32_rows = true;
 
   std::printf("\nwide streams | %zu chains, horizon %u, shared CPT (%s)\n",
               tags, horizon, simd::IsaName());
@@ -293,7 +285,6 @@ int RunWideWorkload(size_t tags, Timestamp horizon, double min_ms) {
   int rc = 0;
   WideCellResult rs = RunWideCell(*nq, db, scalar, min_ms);
   WideCellResult rv = RunWideCell(*nq, db, simd, min_ms);
-  WideCellResult rf = RunWideCell(*nq, db, f32, min_ms);
   if (rv.checksum != rs.checksum) {
     // Vectorized vs scalar is a bit-identity contract, same as kernel vs
     // map: a drifting checksum is a bug, not a measurement artifact.
@@ -301,18 +292,9 @@ int RunWideWorkload(size_t tags, Timestamp horizon, double min_ms) {
                  rv.checksum, rs.checksum);
     rc = 1;
   }
-  // The f32 tier trades exactness for bytes under a documented bound; a
-  // loose relative check still catches gross breakage.
-  if (rs.checksum > 0 &&
-      std::fabs(rf.checksum - rs.checksum) > 1e-4 * rs.checksum) {
-    std::fprintf(stderr, "FAIL: wide/soa-simd-f32 checksum %.17g drifted "
-                 "beyond 1e-4 of soa %.17g\n", rf.checksum, rs.checksum);
-    rc = 1;
-  }
   for (const auto& [name, r] :
        {std::pair<const char*, const WideCellResult&>{"soa", rs},
-        {"soa-simd", rv},
-        {"soa-simd-f32", rf}}) {
+        {"soa-simd", rv}}) {
     std::printf("%-14s %14.1f %9.2fx %16.0f\n", name, r.ticks_per_sec,
                 rs.ticks_per_sec > 0 ? r.ticks_per_sec / rs.ticks_per_sec
                                      : 0.0,
@@ -353,7 +335,7 @@ int main(int argc, char** argv) {
   rc |= RunWorkload(*scenario, StreamKind::kSmoothed, "markov", min_ms);
   rc |= RunWorkload(*scenario, StreamKind::kFiltered, "independent", min_ms);
   rc |= RunWideWorkload(smoke ? 48 : 256, horizon, min_ms);
-  std::printf("\n(map/kernel/soa are bit-identical; see "
+  std::printf("\n(map/soa are bit-identical; see "
               "tests/kernel_equivalence_test.cc)\n");
   return rc;
 }

@@ -128,7 +128,8 @@ struct ModeResult {
   double advance_ms = 0;  // best over reps
   double ticks_per_sec = 0;
   std::vector<double> probs;  // [1..horizon], from the last rep
-  SessionResidency res;       // end-of-run snapshot, last rep
+  SessionCounters res;        // end-of-run snapshot, last rep
+  size_t registered = 0;      // registered units (keys)
 };
 
 // Runs one (cell, mode): creates a StreamingSession with `opts`, advances
@@ -162,7 +163,8 @@ bool RunMode(EventDatabase* db, const PreparedQuery& prepared,
       }
     });
     if (failed) return false;
-    out->res = session->Residency();
+    out->res = session->Counters();
+    out->registered = session->num_units();
     if (rep == 0 || ms < out->advance_ms) out->advance_ms = ms;
     if (rep == 0) out->create_ms = create_ms;
   }
@@ -172,7 +174,7 @@ bool RunMode(EventDatabase* db, const PreparedQuery& prepared,
 
 void EmitJson(const std::string& cell, const std::string& mode,
               Timestamp horizon, size_t reps, const ModeResult& r) {
-  const size_t registered = r.res.registered_units;
+  const size_t registered = r.registered;
   JsonLine()
       .Add("bench", std::string("t10_resident_scale"))
       .Add("cell", cell)
@@ -203,7 +205,7 @@ void EmitJson(const std::string& cell, const std::string& mode,
 
 void PrintRow(const std::string& cell, const std::string& mode,
               const ModeResult& r) {
-  const size_t registered = r.res.registered_units;
+  const size_t registered = r.registered;
   std::printf(
       "%-16s %-15s %10.1f %11.1f %9zu/%-9zu %6zu %6zu %12.1f\n",
       cell.c_str(), mode.c_str(), r.ticks_per_sec, r.create_ms,
@@ -300,7 +302,7 @@ int main(int argc, char** argv) {
     PrintRow("sparse", "lifecycle", lifecycle);
     EmitJson("sparse", "dense", sparse_horizon, 1, dense);
     EmitJson("sparse", "lifecycle", sparse_horizon, 1, lifecycle);
-    const size_t n = dense.res.registered_units;
+    const size_t n = dense.registered;
     sparse_bytes_dense =
         n > 0 ? static_cast<double>(dense.res.bytes_resident) / n : 0.0;
     sparse_bytes_lifecycle =

@@ -50,13 +50,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "analysis/plan.h"
+#include "common/file.h"
 #include "engine/lahar.h"
 #include "parse_flags.h"
 #include "model/io.h"
@@ -236,22 +235,6 @@ struct ServeConfig {
   bool pin_threads = false;          // pin worker i to core i mod cores
 };
 
-bool ReadFileBytes(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  *out = ss.str();
-  return true;
-}
-
-bool WriteFileBytes(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  return bool(out);
-}
-
 // Replays an archived database through the streaming runtime as if its
 // timesteps were arriving live: standing queries are registered up front, a
 // producer thread pushes one TickBatch per timestep with backpressure, and
@@ -279,17 +262,17 @@ int Serve(EventDatabase* archive, const std::vector<std::string>& queries,
   StreamRuntime runtime(live->get(), options);
   std::vector<QueryId> ids;
   if (!config.restore_path.empty()) {
-    std::string snapshot;
-    if (!ReadFileBytes(config.restore_path, &snapshot)) {
+    auto snapshot = ReadFile(config.restore_path);
+    if (!snapshot.ok()) {
       std::fprintf(stderr, "cannot read checkpoint %s\n",
                    config.restore_path.c_str());
       return 1;
     }
-    if (Status s = runtime.Restore(snapshot); !s.ok()) {
+    if (Status s = runtime.Restore(*snapshot); !s.ok()) {
       std::fprintf(stderr, "restore: %s\n", s.ToString().c_str());
       return 1;
     }
-    for (const QueryStats& qs : runtime.Stats().queries) ids.push_back(qs.id);
+    ids = runtime.QueryIds();
     std::printf("# restored %zu queries at tick %u from %s\n", ids.size(),
                 runtime.tick(), config.restore_path.c_str());
   }
@@ -302,12 +285,14 @@ int Serve(EventDatabase* archive, const std::vector<std::string>& queries,
     }
     ids.push_back(*id);
   }
-  for (const QueryStats& qs : runtime.Stats().queries) {
+  for (QueryId id : ids) {
+    auto qs = runtime.QuerySnapshot(id);
+    if (!qs.ok()) continue;
     std::printf("# q%llu [%s via %s%s]: %s\n",
-                static_cast<unsigned long long>(qs.id),
-                qs.query_class.c_str(), qs.engine.c_str(),
-                qs.exact ? "" : ", (eps,delta)-approximate",
-                qs.text.c_str());
+                static_cast<unsigned long long>(qs->id),
+                qs->query_class.c_str(), qs->engine.c_str(),
+                qs->exact ? "" : ", (eps,delta)-approximate",
+                qs->text.c_str());
   }
   std::printf("# t");
   for (QueryId id : ids) {
@@ -328,9 +313,9 @@ int Serve(EventDatabase* archive, const std::vector<std::string>& queries,
       if (!snapshot.ok()) {
         std::fprintf(stderr, "checkpoint: %s\n",
                      snapshot.status().ToString().c_str());
-      } else if (!WriteFileBytes(config.checkpoint_path, *snapshot)) {
-        std::fprintf(stderr, "checkpoint: cannot write %s\n",
-                     config.checkpoint_path.c_str());
+      } else if (Status s = WriteFileAtomic(config.checkpoint_path, *snapshot);
+                 !s.ok()) {
+        std::fprintf(stderr, "checkpoint: %s\n", s.ToString().c_str());
       }
     }
   });
@@ -377,9 +362,8 @@ int Serve(EventDatabase* archive, const std::vector<std::string>& queries,
                    snapshot.status().ToString().c_str());
       return 1;
     }
-    if (!WriteFileBytes(config.checkpoint_path, *snapshot)) {
-      std::fprintf(stderr, "final checkpoint: cannot write %s\n",
-                   config.checkpoint_path.c_str());
+    if (Status s = WriteFileAtomic(config.checkpoint_path, *snapshot); !s.ok()) {
+      std::fprintf(stderr, "final checkpoint: %s\n", s.ToString().c_str());
       return 1;
     }
     std::printf("# final checkpoint (tick %u) written to %s\n",

@@ -33,12 +33,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/file.h"
 #include "model/io.h"
 #include "net/server.h"
 #include "parse_flags.h"
@@ -52,22 +51,6 @@ namespace {
 volatile std::sig_atomic_t g_signal = 0;
 
 void OnSignal(int) { g_signal = 1; }
-
-bool ReadFileBytes(const std::string& path, std::string* out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  *out = ss.str();
-  return true;
-}
-
-bool WriteFileBytes(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) return false;
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  return bool(out);
-}
 
 int Usage(const char* argv0) {
   std::fprintf(stderr,
@@ -165,18 +148,18 @@ int main(int argc, char** argv) {
   StreamRuntime runtime(live->get(), runtime_options);
 
   if (!restore_path.empty()) {
-    std::string snapshot;
-    if (!ReadFileBytes(restore_path, &snapshot)) {
+    auto snapshot = ReadFile(restore_path);
+    if (!snapshot.ok()) {
       std::fprintf(stderr, "cannot read checkpoint %s\n",
                    restore_path.c_str());
       return 1;
     }
-    if (Status s = runtime.Restore(snapshot); !s.ok()) {
+    if (Status s = runtime.Restore(*snapshot); !s.ok()) {
       std::fprintf(stderr, "restore: %s\n", s.ToString().c_str());
       return 1;
     }
     std::printf("# restored %zu queries at tick %u from %s\n",
-                runtime.Stats().num_queries, runtime.tick(),
+                runtime.QueryIds().size(), runtime.tick(),
                 restore_path.c_str());
   }
   for (const std::string& q : queries) {
@@ -201,9 +184,9 @@ int main(int argc, char** argv) {
       if (!snapshot.ok()) {
         std::fprintf(stderr, "checkpoint: %s\n",
                      snapshot.status().ToString().c_str());
-      } else if (!WriteFileBytes(server_options.checkpoint_path, *snapshot)) {
-        std::fprintf(stderr, "checkpoint: cannot write %s\n",
-                     server_options.checkpoint_path.c_str());
+      } else if (Status s = WriteFileAtomic(server_options.checkpoint_path, *snapshot);
+                 !s.ok()) {
+        std::fprintf(stderr, "checkpoint: %s\n", s.ToString().c_str());
       }
     };
   }
@@ -241,9 +224,8 @@ int main(int argc, char** argv) {
                    snapshot.status().ToString().c_str());
       return 1;
     }
-    if (!WriteFileBytes(server_options.checkpoint_path, *snapshot)) {
-      std::fprintf(stderr, "final checkpoint: cannot write %s\n",
-                   server_options.checkpoint_path.c_str());
+    if (Status s = WriteFileAtomic(server_options.checkpoint_path, *snapshot); !s.ok()) {
+      std::fprintf(stderr, "final checkpoint: %s\n", s.ToString().c_str());
       return 1;
     }
     std::printf("final checkpoint (tick %u) written to %s\n", runtime.tick(),

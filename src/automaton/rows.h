@@ -14,7 +14,7 @@
 //     values; the extra zeros only ever add +0.0 to non-negative
 //     accumulators, which is a bitwise no-op.
 //   * TransitionRowClass — the per-timestep row sets of one *structure
-//     class*: all chains with equal kernel signature, storage tier, and
+//     class*: all chains with equal kernel signature and
 //     per-Markovian-participant domains. Each resident timestep is keyed
 //     by a content fingerprint of that tick's CPT slices, so reuse is
 //     validated against the data actually stepped through — structurally
@@ -34,13 +34,6 @@
 // live-database chains keep pooling (and striping) as the stream extends —
 // only a not-yet-covered tick builds an "ended" row, and that row's key
 // differs from the post-append key, so it can never be read stale.
-//
-// The optional float32 tier stores rows as floats (half the bytes). It is
-// NOT bit-identical: each row entry picks up one float32 rounding, so a
-// per-tick row-vs-row error of |Δrow| <= row * 2^-24 compounds to
-// |Δp(t)| <= p(t) * ((1 + 2^-24)^t - 1) ≈ p(t) * t * 2^-24 over t ticks
-// (see docs/PERF.md). Chains on different tiers never share a class (the
-// tier is part of the fingerprint).
 #ifndef LAHAR_AUTOMATON_ROWS_H_
 #define LAHAR_AUTOMATON_ROWS_H_
 
@@ -62,25 +55,16 @@ struct TransitionRowSet {
   /// No participant is in CPT phase this step (t == 1 marginal, or every
   /// stream ended): all sources share one successor row, stored once.
   bool broadcast = false;
-  /// Rows live in rows_f (float32 tier) instead of rows.
-  bool f32 = false;
-  std::vector<double> rows;   ///< (broadcast ? 1 : R) x R, empty when f32
-  std::vector<float> rows_f;  ///< float32 tier storage, empty otherwise
+  std::vector<double> rows;  ///< (broadcast ? 1 : R) x R
 
   const double* Row(uint64_t h) const {
     return rows.data() + (broadcast ? 0 : h * R);
   }
-  const float* RowF(uint64_t h) const {
-    return rows_f.data() + (broadcast ? 0 : h * R);
-  }
-  size_t bytes() const {
-    return rows.capacity() * sizeof(double) +
-           rows_f.capacity() * sizeof(float);
-  }
+  size_t bytes() const { return rows.capacity() * sizeof(double); }
 };
 
 /// 128-bit content fingerprint (dual FNV-1a). Used twice: as the class key
-/// (kernel signature, storage tier, per-Markovian-participant domains —
+/// (kernel signature and per-Markovian-participant domains —
 /// structural identity only, stable while a live stream's horizon grows)
 /// and as the per-timestep content key (that tick's CPT slices), which is
 /// what actually guards row reuse. Splitting the two is what keeps pooling

@@ -75,21 +75,6 @@ inline void ScaleRow(double* w, const double* row, double p, size_t n) {
   for (; i < n; ++i) w[i] = row[i] * p;
 }
 
-/// w[i] = double(row[i]) * p for i in [0, n) — the float32 storage tier;
-/// each row entry is widened back to double before the multiply, so the
-/// only extra rounding versus ScaleRow is the one float32 store.
-inline void ScaleRowF32(double* w, const float* row, double p, size_t n) {
-  size_t i = 0;
-#if defined(LAHAR_SIMD_AVX2)
-  const __m256d pv = _mm256_set1_pd(p);
-  for (; i + 4 <= n; i += 4) {
-    const __m256d r = _mm256_cvtps_pd(_mm_loadu_ps(row + i));
-    _mm256_storeu_pd(w + i, _mm256_mul_pd(r, pv));
-  }
-#endif
-  for (; i < n; ++i) w[i] = static_cast<double>(row[i]) * p;
-}
-
 /// dst[i] += w[i] * ip for i in [0, n) — separate multiply and add.
 inline void AxpyConst(double* dst, const double* w, double ip, size_t n) {
   size_t i = 0;
@@ -165,15 +150,6 @@ inline void StripeWeights(double* w, const double* p, const double* row,
 #endif
   for (size_t s = 0; s < n; ++s) {
     for (size_t l = 0; l < lanes; ++l) w[s * lanes + l] = p[l] * row[s];
-  }
-}
-
-/// Float32-tier StripeWeights: w[s * lanes + l] = p[l] * double(row[s]).
-inline void StripeWeightsF32(double* w, const double* p, const float* row,
-                             size_t n, size_t lanes) {
-  for (size_t s = 0; s < n; ++s) {
-    const double r = static_cast<double>(row[s]);
-    for (size_t l = 0; l < lanes; ++l) w[s * lanes + l] = p[l] * r;
   }
 }
 

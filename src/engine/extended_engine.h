@@ -45,11 +45,10 @@ class ExtendedRegularEngine {
   ///
   /// All groundings share one NFA structure, so their compiled kernels
   /// dedupe through a cache (options.kernel_cache, or a Create-local one):
-  /// the m per-key chains hold one shared CompiledKernel. When
-  /// options.soa_arena is set (default), the compiled chains' state vectors
-  /// are additionally packed into one engine-owned contiguous arena
-  /// ([chain0 cur | chain0 nxt | chain1 cur | ...]) so a timestep walks
-  /// memory linearly instead of m scattered heap blocks.
+  /// the m per-key chains hold one shared CompiledKernel. The compiled
+  /// chains' state vectors are additionally packed into one engine-owned
+  /// contiguous arena ([chain0 cur | chain0 nxt | chain1 cur | ...]) so a
+  /// timestep walks memory linearly instead of m scattered heap blocks.
   static Result<ExtendedRegularEngine> Create(const NormalizedQuery& q,
                                               const EventDatabase& db,
                                               const ChainOptions& options = {});

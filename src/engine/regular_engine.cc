@@ -106,7 +106,7 @@ Result<RegularChain> RegularChain::Create(const NormalizedQuery& q,
         // every width, including R == 1).
         bool want_simd = false;
         if (options.step_mode == KernelStepMode::kSimd) {
-          want_simd = R <= options.simd_max_hidden;
+          want_simd = R <= kSimdMaxHidden;
 #if !defined(LAHAR_NO_SIMD)
         } else if (options.step_mode == KernelStepMode::kAuto) {
           double density = 1.0;
@@ -124,14 +124,13 @@ Result<RegularChain> RegularChain::Create(const NormalizedQuery& q,
             }
             if (total > 0) density *= static_cast<double>(nz) / total;
           }
-          want_simd = R >= 2 && R <= options.simd_max_hidden &&
-                      density >= options.simd_min_density;
+          want_simd = R >= 2 && R <= kSimdMaxHidden &&
+                      density >= kSimdMinDensity;
 #endif  // !LAHAR_NO_SIMD
         }
         chain.simd_ = want_simd;
-        chain.f32_rows_ = want_simd && options.float32_rows;
         if (want_simd && options.row_pool != nullptr) {
-          // Structural class key only — kernel shape, tier, and domains.
+          // Structural class key only — kernel shape and domains.
           // CPT content is validated per timestep at reuse (RowContentKey),
           // not baked in here: a creation-time content hash would be O(CPT
           // bytes x horizon) per chain and, worse, go permanently stale the
@@ -142,7 +141,6 @@ Result<RegularChain> RegularChain::Create(const NormalizedQuery& q,
           RowFingerprint fp;
           fp.Mix(chain.kernel_->signature.data(),
                  chain.kernel_->signature.size());
-          fp.MixU64(chain.f32_rows_ ? 1 : 0);
           for (const Participant& p : chain.markov_participants_) {
             fp.MixU64(db.stream(p.id).domain_size());
           }
@@ -184,7 +182,6 @@ RegularChain::RegularChain(const RegularChain& o)
       kernel_(o.kernel_),
       planes_(o.planes_),
       simd_(o.simd_),
-      f32_rows_(o.f32_rows_),
       row_class_(o.row_class_),
       step_rows_(o.step_rows_),
       step_rows_t_(o.step_rows_t_),
@@ -223,7 +220,6 @@ RegularChain& RegularChain::operator=(RegularChain&& o) noexcept {
   kernel_ = std::move(o.kernel_);
   planes_ = o.planes_;
   simd_ = o.simd_;
-  f32_rows_ = o.f32_rows_;
   lane_stride_ = o.lane_stride_;
   row_class_ = std::move(o.row_class_);
   step_rows_ = std::move(o.step_rows_);
@@ -606,15 +602,7 @@ std::shared_ptr<const TransitionRowSet> RegularChain::BuildRowSet(
     double* out = dense.data() + h * R;
     for (const auto& [h2, pr] : frames) out[k.slot_of[h2]] = pr;
   }
-  if (f32_rows_) {
-    set->f32 = true;
-    set->rows_f.resize(dense.size());
-    for (size_t i = 0; i < dense.size(); ++i) {
-      set->rows_f[i] = static_cast<float>(dense[i]);
-    }
-  } else {
-    set->rows = std::move(dense);
-  }
+  set->rows = std::move(dense);
   return set;
 }
 
@@ -698,11 +686,7 @@ bool RegularChain::StepKernelSimd(Timestamp next) {
       for (uint64_t h = 0; h < R; ++h) {
         const double p = src[k.slot_of[h] * L];
         if (p == 0.0) continue;
-        if (rows->f32) {
-          simd::ScaleRowF32(s.w.data(), rows->RowF(h), p, R);
-        } else {
-          simd::ScaleRow(s.w.data(), rows->Row(h), p, R);
-        }
+        simd::ScaleRow(s.w.data(), rows->Row(h), p, R);
         for (const CompiledKernel::ClassSegment& seg : k.class_segments) {
           const uint32_t* cls = &s.step_cls[static_cast<size_t>(seg.cls) * E];
           const size_t len = seg.end - seg.begin;
@@ -787,11 +771,7 @@ bool RegularChain::StepStripe(RegularChain* const* chains, size_t n,
     for (uint64_t h = 0; h < R; ++h) {
       const double* p = src + k.slot_of[h] * n;
       if (!simd::AnyNonzero(p, n)) continue;
-      if (rows->f32) {
-        simd::StripeWeightsF32(s.w.data(), p, rows->RowF(h), R, n);
-      } else {
-        simd::StripeWeights(s.w.data(), p, rows->Row(h), R, n);
-      }
+      simd::StripeWeights(s.w.data(), p, rows->Row(h), R, n);
       for (const CompiledKernel::ClassSegment& seg : k.class_segments) {
         const uint32_t* cls = &s.step_cls[static_cast<size_t>(seg.cls) * E];
         const size_t len = seg.end - seg.begin;
@@ -836,7 +816,6 @@ void RegularChain::DematerializeToMap() {
   nxt_ = nullptr;
   planes_ = 1;
   simd_ = false;
-  f32_rows_ = false;
   lane_stride_ = 1;
   row_class_.reset();
   step_rows_.reset();

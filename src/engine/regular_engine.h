@@ -41,8 +41,15 @@ namespace lahar {
 ///   kSimd   - dense vectorized rows over the class-sorted slot layout
 ///             (StepKernelSimd / StepStripe), bit-identical to kScalar;
 ///   kAuto   - kSimd where the dense-row model pays for itself (see
-///             simd_max_hidden / simd_min_density), kScalar elsewhere.
+///             kSimdMaxHidden / kSimdMinDensity), kScalar elsewhere.
 enum class KernelStepMode { kAuto, kScalar, kSimd };
+
+/// kAuto/kSimd ceiling on the joint hidden space: dense rows cost R*R
+/// doubles per (class, timestep), so past this the CSR walk wins.
+inline constexpr uint32_t kSimdMaxHidden = 512;
+/// kAuto floor on the joint CPT nonzero fraction: below it the CSR skip of
+/// zero successors beats dense multiply-accumulate.
+inline constexpr double kSimdMinDensity = 0.35;
 
 /// Options controlling chain construction (kernel compilation and batching).
 struct ChainOptions {
@@ -52,25 +59,12 @@ struct ChainOptions {
   /// Engines fall back to a local cache when null; kernels are held by
   /// shared_ptr, so the cache may outlive or die before the chains.
   KernelCache* kernel_cache = nullptr;
-  /// Extended engine only: pack the compiled chains' state vectors into one
-  /// contiguous SoA arena (see ExtendedRegularEngine).
-  bool soa_arena = true;
-
   /// Step-path selection for compiled chains.
   KernelStepMode step_mode = KernelStepMode::kAuto;
-  /// kAuto/kSimd ceiling on the joint hidden space: dense rows cost R*R
-  /// doubles per (class, timestep), so past this the CSR walk wins.
-  uint32_t simd_max_hidden = 512;
-  /// kAuto floor on the joint CPT nonzero fraction: below it the CSR skip
-  /// of zero successors beats dense multiply-accumulate.
-  double simd_min_density = 0.35;
   /// Optional cross-chain dense-row reuse (e.g. PreparedQuery::row_pool).
   /// Null makes every SIMD chain build rows locally; classes are held by
   /// shared_ptr, so the pool may die before the chains.
   TransitionRowPool* row_pool = nullptr;
-  /// Store pooled rows as float32 (half the bytes, NOT bit-identical; see
-  /// rows.h for the error bound). Only affects SIMD-mode chains.
-  bool float32_rows = false;
 
   /// Optional (type, key) -> streams index for grounded-query builds; makes
   /// SymbolTable::Build O(subgoals) instead of O(streams). The extended
@@ -176,9 +170,6 @@ class RegularChain {
   /// True when this chain runs the vectorized dense-row step (state stored
   /// in the kernel's class-sorted slot layout).
   bool simd() const { return simd_; }
-
-  /// True when this chain reads float32-tier transition rows.
-  bool float32_rows() const { return f32_rows_; }
 
   /// The interned row class this chain shares (null when rows are local).
   const std::shared_ptr<TransitionRowClass>& row_class() const {
@@ -329,7 +320,6 @@ class RegularChain {
 
   // --- vectorized step path (simd_ implies kernel_) ------------------------
   bool simd_ = false;       // state lives in slot layout; step via dense rows
-  bool f32_rows_ = false;   // rows on the float32 tier
   size_t lane_stride_ = 1;  // arena lane interleave (1 = contiguous)
   std::shared_ptr<TransitionRowClass> row_class_;  // null = always local rows
   std::shared_ptr<const TransitionRowSet> step_rows_;  // cache for step t

@@ -52,7 +52,7 @@ class SafePlanEngine::NodeEval {
   }
 
   /// Accumulates memo/row-cache counters over this subtree.
-  virtual void AddMemoStats(SafeMemoStats* out) const { (void)out; }
+  virtual void AddMemoStats(SessionCounters* out) const { (void)out; }
 
   /// Serializes / restores the incremental evaluation state (frontier
   /// chains, witness tables). Bounded caches are not part of the state:
@@ -127,7 +127,7 @@ class SafePlanEngine::RegEval : public SafePlanEngine::NodeEval {
     return base_.StepCost() * (1 + rows_.size());
   }
 
-  void AddMemoStats(SafeMemoStats* out) const override {
+  void AddMemoStats(SessionCounters* out) const override {
     out->rows_live += rows_.size();
     out->row_evictions += row_evictions_;
     out->row_rebuilds += row_rebuilds_;
@@ -364,7 +364,7 @@ class SafePlanEngine::SeqEval : public SafePlanEngine::NodeEval {
     return child_->UnitCostOf(unit) + 1;
   }
 
-  void AddMemoStats(SafeMemoStats* out) const override {
+  void AddMemoStats(SessionCounters* out) const override {
     out->memo_entries += memo_live_;
     out->memo_hits += memo_hits_;
     out->memo_misses += memo_misses_;
@@ -670,7 +670,7 @@ class SafePlanEngine::ProjectEval : public SafePlanEngine::NodeEval {
     return children_[unit]->StepCost();
   }
 
-  void AddMemoStats(SafeMemoStats* out) const override {
+  void AddMemoStats(SessionCounters* out) const override {
     for (const auto& c : children_) c->AddMemoStats(out);
   }
 
@@ -847,8 +847,8 @@ size_t SafePlanEngine::UnitCost(size_t unit) const {
   return root_->UnitCostOf(unit);
 }
 
-SafeMemoStats SafePlanEngine::MemoStats() const {
-  SafeMemoStats out;
+SessionCounters SafePlanEngine::MemoStats() const {
+  SessionCounters out;
   root_->AddMemoStats(&out);
   return out;
 }

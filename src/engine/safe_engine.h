@@ -41,21 +41,10 @@
 
 #include "analysis/plan.h"
 #include "common/serial.h"
+#include "engine/counters.h"
 #include "engine/regular_engine.h"
 
 namespace lahar {
-
-/// \brief Cache/memo observability counters for one safe-plan evaluator
-/// tree (aggregated over every node; see RuntimeStats).
-struct SafeMemoStats {
-  size_t memo_entries = 0;     ///< live (ts, tf) interval memo entries
-  uint64_t memo_hits = 0;      ///< interval memo hits
-  uint64_t memo_misses = 0;    ///< interval memo misses (computed fresh)
-  uint64_t memo_evictions = 0; ///< entries overwritten by the bounded memo
-  size_t rows_live = 0;        ///< live reg-leaf interval rows
-  uint64_t row_evictions = 0;  ///< LRU reg-row evictions
-  uint64_t row_rebuilds = 0;   ///< evicted rows rebuilt from a keyframe
-};
 
 /// \brief Engine for Safe Queries: compiles a safe plan and evaluates it.
 class SafePlanEngine {
@@ -120,8 +109,9 @@ class SafePlanEngine {
   /// Per-unit cost estimate (a unit is one grounding subtree).
   size_t UnitCost(size_t unit) const;
 
-  /// Aggregated memo/row cache counters over the whole evaluator tree.
-  SafeMemoStats MemoStats() const;
+  /// Memo/row-cache counters aggregated over the whole evaluator tree
+  /// (the memo fields of SessionCounters; the rest stay zero).
+  SessionCounters MemoStats() const;
 
   /// Serializes the incremental evaluation state (frontier chains, witness
   /// tables, clock-free: the clock lives in SafeQuerySession). The blob

@@ -80,7 +80,11 @@ class SafeQuerySession : public QuerySession {
     return engine_.FinishAdvance(t_);
   }
 
-  SafeMemoStats MemoStats() const override { return engine_.MemoStats(); }
+  SessionCounters Counters() const override {
+    SessionCounters c = engine_.MemoStats();
+    c.resident_units = num_units();
+    return c;
+  }
 
   bool SupportsStateRestore() const override { return true; }
 

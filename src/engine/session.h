@@ -35,6 +35,7 @@
 
 #include "analysis/prepared.h"
 #include "common/serial.h"
+#include "engine/counters.h"
 #include "engine/lahar.h"
 #include "engine/regular_engine.h"
 #include "engine/safe_engine.h"
@@ -95,20 +96,6 @@ class SharedSubChain {
   uint64_t steps_ = 0;
 };
 
-/// \brief Chain-lifecycle residency snapshot of one session (docs/PERF.md
-/// "Chain lifecycle"). Sessions without the lifecycle layer report every
-/// unit as resident; counters are lifetime totals.
-struct SessionResidency {
-  size_t bytes_resident = 0;  ///< engine memory footprint in bytes
-  size_t registered_units = 0;
-  size_t resident_units = 0;
-  size_t stub_units = 0;
-  size_t spilled_units = 0;
-  uint64_t promotions = 0;
-  uint64_t spills = 0;
-  uint64_t rehydrations = 0;
-};
-
 /// \brief Incremental evaluation session for one standing query.
 class QuerySession {
  public:
@@ -139,12 +126,12 @@ class QuerySession {
   /// unit is its own group.
   virtual size_t UnitGroupEnd(size_t i) const { return i + 1; }
 
-  /// Residency and memory snapshot of this session's units (stats).
-  virtual SessionResidency Residency() const {
-    SessionResidency r;
-    r.registered_units = num_units();
-    r.resident_units = r.registered_units;
-    return r;
+  /// Stats-only counters (see engine/counters.h). Default: every unit
+  /// resident, every other counter zero.
+  virtual SessionCounters Counters() const {
+    SessionCounters c;
+    c.resident_units = num_units();
+    return c;
   }
 
   /// Total per-tick cost estimate: sum of UnitCost over all units.
@@ -201,10 +188,6 @@ class QuerySession {
     return Status::Unimplemented("session does not serialize state");
   }
 
-  /// Safe-path memo/row-cache counters (zeroes for the other classes);
-  /// surfaced in RuntimeStats so bounded-memory serving is observable.
-  virtual SafeMemoStats MemoStats() const { return {}; }
-
   // --- Cross-session sharing hooks (docs/SHARING.md) ----------------------
   // The registry's sharing pool groups sessions whose units carry equal
   // canonical keys and swaps their private chains for one SharedSubChain.
@@ -240,21 +223,6 @@ class QuerySession {
     (void)unit;
     return false;
   }
-
-  /// Units currently delegated to shared sub-chains (stats).
-  virtual size_t NumDelegatedUnits() const { return 0; }
-
-  /// Units stepping on the vectorized SoA kernel path (stats; zero for
-  /// sessions without a chain arena).
-  virtual size_t NumSimdUnits() const { return 0; }
-
-  /// Whole-stripe steps taken / stripes demoted to per-unit steps since
-  /// creation (stats; zero for sessions without lane-interleaved stripes).
-  /// Fallbacks are data-dependent and scheduler-independent: the executor
-  /// aligns shard splits on UnitGroupEnd, so rebalances and steals must not
-  /// grow this counter (asserted by tests/chain_lifecycle_test.cc).
-  virtual uint64_t StripeSteps() const { return 0; }
-  virtual uint64_t StripeFallbacks() const { return 0; }
 
  protected:
   QuerySession(QueryClass query_class, EngineKind engine_kind, bool exact)

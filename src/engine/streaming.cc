@@ -70,6 +70,22 @@ bool StreamingSession::DelegateUnit(
   return engine_.DelegateChain(i, unit);
 }
 
+SessionCounters StreamingSession::Counters() const {
+  SessionCounters c;
+  c.shared_units = engine_.num_delegated();
+  c.simd_units = engine_.num_simd();
+  c.stripe_steps = engine_.stripe_steps();
+  c.stripe_fallbacks = engine_.stripe_fallbacks();
+  c.bytes_resident = engine_.Footprint().bytes();
+  c.resident_units = engine_.num_resident();
+  c.stub_units = engine_.num_stub();
+  c.spilled_units = engine_.num_spilled();
+  c.promotions = engine_.promotions();
+  c.spills = engine_.spills();
+  c.rehydrations = engine_.rehydrations();
+  return c;
+}
+
 Result<double> StreamingSession::Advance() {
   double p = engine_.Step();
   LAHAR_RETURN_NOT_OK(engine_.ChainStatus());

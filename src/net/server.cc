@@ -11,7 +11,8 @@
 
 #include <algorithm>
 #include <cstring>
-#include <fstream>
+
+#include "common/file.h"
 
 namespace lahar {
 namespace net {
@@ -154,8 +155,7 @@ void Server::Stop() {
 NetStats Server::NetCounters() const {
   std::lock_guard<std::mutex> lock(stats_mu_);
   NetStats out = counters_;
-  out.tenants.clear();
-  for (const auto& [name, t] : tenant_counters_) out.tenants.push_back(t);
+  out.tenants.assign(tenant_counters_.begin(), tenant_counters_.end());
   return out;
 }
 
@@ -404,11 +404,10 @@ void Server::Dispatch(Connection* c, const Frame& frame) {
       // prints it the way lahar_cli --serve does.
       RegisteredBody body;
       body.id = *id;
-      for (const QueryStats& qs : runtime_->Stats().queries) {
-        if (qs.id != *id) continue;
-        body.query_class = qs.query_class;
-        body.engine = qs.engine;
-        body.exact = qs.exact;
+      if (auto qs = runtime_->QuerySnapshot(*id); qs.ok()) {
+        body.query_class = qs->query_class;
+        body.engine = qs->engine;
+        body.exact = qs->exact;
       }
       serial::Writer w;
       EncodeRegistered(body, &w);
@@ -485,17 +484,12 @@ void Server::Dispatch(Connection* c, const Frame& frame) {
         SendError(c, WireError::kRejected, snapshot.status().ToString());
         return;
       }
-      std::ofstream out(options_.checkpoint_path,
-                        std::ios::binary | std::ios::trunc);
-      out.write(snapshot->data(),
-                static_cast<std::streamsize>(snapshot->size()));
-      // Flush and close before replying: the kCheckpointOk frame promises
-      // the bytes are on disk, and a client may read the file the moment
-      // it sees the reply.
-      out.close();
-      if (!out) {
-        SendError(c, WireError::kRejected,
-                  "cannot write " + options_.checkpoint_path);
+      // Durable before replying: the kCheckpointOk frame promises the
+      // bytes are on disk, and a client may read the file the moment it
+      // sees the reply. A failed write leaves the previous checkpoint.
+      if (Status s = WriteFileAtomic(options_.checkpoint_path, *snapshot);
+          !s.ok()) {
+        SendError(c, WireError::kRejected, s.ToString());
         return;
       }
       CheckpointOkBody body;
@@ -536,9 +530,7 @@ void Server::HandleIngest(Connection* c, const Frame& frame) {
       {
         std::lock_guard<std::mutex> lock(stats_mu_);
         ++counters_.quota_rejected;
-        NetTenantStats& t = tenant_counters_[c->tenant];
-        t.tenant = c->tenant;
-        ++t.quota_rejected;
+        ++tenant_counters_[c->tenant].quota_rejected;
       }
       SendError(c, WireError::kQuotaExceeded,
                 "tenant '" + c->tenant + "' over ingest quota");
@@ -558,9 +550,7 @@ void Server::HandleIngest(Connection* c, const Frame& frame) {
   }
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
-    NetTenantStats& t = tenant_counters_[c->tenant];
-    t.tenant = c->tenant;
-    ++t.ingest_frames;
+    ++tenant_counters_[c->tenant].ingest_frames;
   }
   Enqueue(c, EncodeFrame(MsgType::kOk));
 }

@@ -180,6 +180,13 @@ class StreamRuntime {
   /// in flight.
   RuntimeStats Stats() const;
 
+  /// One query's entry of Stats(), without snapshotting the rest; NotFound
+  /// when `id` is not registered. Same locking as Stats().
+  Result<QueryStats> QuerySnapshot(QueryId id) const;
+
+  /// Ids of the registered queries, in registration order.
+  std::vector<QueryId> QueryIds() const;
+
   /// Serializes the runtime's recoverable state — the database, the current
   /// tick, ended streams, and every standing query (with direct session
   /// state for the streaming engines) — into a versioned binary snapshot.
@@ -262,6 +269,8 @@ class StreamRuntime {
     LatencyRecorder latency;
   };
 
+  // Builds one query's stats entry; requires state_mu_ held.
+  QueryStats QueryEntry(const StandingQuery& q) const;
   void CoordinatorLoop();
   void ShardLoop(size_t shard);
   // Executes one window of `window` ticks, appending one published

@@ -261,7 +261,7 @@ std::vector<size_t> QueryRegistry::SharingFanouts() const {
   return out;
 }
 
-StandingQuery* QueryRegistry::Find(QueryId id) {
+StandingQuery* QueryRegistry::Find(QueryId id) const {
   for (auto& q : queries_) {
     if (q->id == id) return q.get();
   }

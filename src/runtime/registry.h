@@ -105,7 +105,7 @@ class QueryRegistry {
   Status RestoreQuery(QueryId id, std::string_view text, Timestamp tick,
                       serial::Reader* state);
 
-  StandingQuery* Find(QueryId id);
+  StandingQuery* Find(QueryId id) const;
 
   /// Queries in registration order — the executor's combine order, which
   /// makes per-tick results deterministic.

@@ -2,6 +2,14 @@
 // advance latency, ticks processed, queue depth, and drops. Everything is a
 // plain struct so benches and the CLI can print or serialize them without
 // pulling in the runtime itself.
+//
+// Each struct lists its fields exactly once, in a static
+// `template <class V> static void Fields(V&& v)` that calls
+// `v(key, &Struct::member)` per field in export order, plus
+// `v.Section(label)` to start a new line of the text form
+// (`v.Section(nullptr)` goes back to the struct's first line). ToJson and
+// ToString are generic walkers over those lists, so a counter added to a
+// list reaches the text, the JSON and the wire kStats reply together.
 #ifndef LAHAR_RUNTIME_STATS_H_
 #define LAHAR_RUNTIME_STATS_H_
 
@@ -12,12 +20,17 @@
 #include <utility>
 #include <vector>
 
+#include "engine/counters.h"
 #include "model/value.h"
 
 namespace lahar {
 
 /// Stable identifier of a registered standing query (see runtime/registry.h).
 using QueryId = uint64_t;
+
+/// Field-list flag: kWhenNonZero drops the field from the JSON while every
+/// value in it is zero (the text form drops all-zero lines regardless).
+enum class Presence { kAlways, kWhenNonZero };
 
 /// \brief Summary of a latency distribution, in microseconds.
 ///
@@ -31,6 +44,16 @@ struct LatencySummary {
   double p50_us = 0;
   double p99_us = 0;
   double max_us = 0;
+
+  template <class V>
+  static void Fields(V&& v) {
+    v("count", &LatencySummary::count);
+    v("min_us", &LatencySummary::min_us);
+    v("mean_us", &LatencySummary::mean_us);
+    v("p50_us", &LatencySummary::p50_us);
+    v("p99_us", &LatencySummary::p99_us);
+    v("max_us", &LatencySummary::max_us);
+  }
 };
 
 /// \brief Cheap fixed-size latency histogram (no allocation on record).
@@ -49,8 +72,10 @@ class LatencyRecorder {
   double sum_ns_ = 0;
 };
 
-/// \brief Per-query counters, snapshot at Stats() time.
-struct QueryStats {
+/// \brief Per-query counters, snapshot at Stats() time. The session's own
+/// counters (sharing, SIMD kernel, chain lifecycle, safe-plan caches) are
+/// the SessionCounters base.
+struct QueryStats : SessionCounters {
   QueryId id = 0;
   std::string text;
   /// Query class and serving engine names (strings so this header stays
@@ -68,44 +93,34 @@ struct QueryStats {
   /// Wall time spent stepping this query's units per tick (summed across
   /// the shards that shared them).
   LatencySummary advance;
-  /// Safe-path cache counters (zero for the other classes): live interval
-  /// memo entries / reg rows and the eviction activity that keeps them
-  /// bounded (see engine/safe_engine.h).
-  size_t memo_entries = 0;
-  uint64_t memo_hits = 0;
-  uint64_t memo_misses = 0;
-  uint64_t memo_evictions = 0;
-  size_t rows_live = 0;
-  uint64_t row_evictions = 0;
-  uint64_t row_rebuilds = 0;
   /// Kernel-cache lookups attributable to building this query's session
   /// (hits mean a structurally equal kernel compiled earlier — by this
   /// query or any other — was reused; see docs/SHARING.md).
   uint64_t kernel_hits = 0;
   uint64_t kernel_misses = 0;
-  /// Units of this query currently delegated to cross-query shared
-  /// sub-chains (stepped once per tick for all their readers).
-  size_t shared_units = 0;
-  /// Units of this query stepping on the vectorized SoA kernel path
-  /// (docs/PERF.md).
-  size_t simd_units = 0;
-  /// Whole-stripe steps taken / stripes demoted to per-unit steps.
-  /// Fallbacks are data-dependent: the executor aligns shard splits on
-  /// stripe boundaries, so rebalances must not grow them.
-  uint64_t stripe_steps = 0;
-  uint64_t stripe_fallbacks = 0;
-  // --- chain lifecycle (docs/PERF.md "Chain lifecycle") -------------------
-  /// Session memory footprint in bytes (resident chains + stubs + spill
-  /// arena). num_chains counts *registered* units; resident + stub +
-  /// spilled partitions them for lifecycle sessions (all resident
-  /// otherwise).
-  size_t bytes_resident = 0;
-  size_t resident_units = 0;  ///< units holding a materialized chain
-  size_t stub_units = 0;      ///< lazy stubs never promoted (~16 B each)
-  size_t spilled_units = 0;   ///< cold chains in the spill arena
-  uint64_t promotions = 0;    ///< stub -> resident transitions
-  uint64_t spills = 0;        ///< resident -> spilled/stub transitions
-  uint64_t rehydrations = 0;  ///< spilled -> resident transitions
+
+  template <class V>
+  static void Fields(V&& v) {
+    v("id", &QueryStats::id);
+    v("class", &QueryStats::query_class);
+    v("engine", &QueryStats::engine);
+    v("exact", &QueryStats::exact);
+    v("units", &QueryStats::num_chains);
+    v("ticks", &QueryStats::ticks);
+    v("errors", &QueryStats::errors);
+    v("kernel_hits", &QueryStats::kernel_hits);
+    v("kernel_misses", &QueryStats::kernel_misses);
+    v.Section("sharing");
+    KernelFields(v);
+    v.Section("lifecycle");
+    LifecycleFields(v);
+    v.Section(nullptr);
+    v("text", &QueryStats::text);
+    v("last_error", &QueryStats::last_error);
+    v.Section("safe");
+    MemoFields(v);
+    v("advance", &QueryStats::advance);
+  }
 };
 
 /// \brief Per-shard counters, snapshot at Stats() time.
@@ -115,18 +130,31 @@ struct ShardStats {
   uint64_t chains_stepped = 0;
   /// Wall time the shard spent on its work items per tick.
   LatencySummary tick;
+
+  template <class V>
+  static void Fields(V&& v) {
+    v("shard", &ShardStats::shard);
+    v("ticks", &ShardStats::ticks);
+    v("chains_stepped", &ShardStats::chains_stepped);
+    v("tick", &ShardStats::tick);
+  }
 };
 
 /// \brief Per-tenant admission-control counters (see net/server.h).
 struct NetTenantStats {
-  std::string tenant;
   uint64_t ingest_frames = 0;   ///< ingest frames accepted into the queue
   uint64_t quota_rejected = 0;  ///< ingest frames shed by the token bucket
+
+  template <class V>
+  static void Fields(V&& v) {
+    v("ingest", &NetTenantStats::ingest_frames);
+    v("quota_rejected", &NetTenantStats::quota_rejected);
+  }
 };
 
 /// \brief Counters for the TCP serving front-end (net/server.h), merged
 /// into RuntimeStats by Server::Stats(). All zero when no server is
-/// attached, in which case ToString omits the net section.
+/// attached, in which case both exports omit the net section.
 struct NetStats {
   size_t connections = 0;          ///< currently open
   uint64_t total_connections = 0;  ///< accepted since Start
@@ -139,11 +167,29 @@ struct NetStats {
   uint64_t backpressure_rejected = 0;  ///< ingest frames shed, queue full
   uint64_t slow_disconnects = 0;  ///< connections dropped at the outbound cap
   size_t subscriptions = 0;       ///< live (connection, query) subscriptions
-  std::vector<NetTenantStats> tenants;  ///< sorted by tenant name
+  /// (tenant name, counters), sorted by tenant name.
+  std::vector<std::pair<std::string, NetTenantStats>> tenants;
+
+  template <class V>
+  static void Fields(V&& v) {
+    v("connections", &NetStats::connections);
+    v("total_connections", &NetStats::total_connections);
+    v("subscriptions", &NetStats::subscriptions);
+    v("frames_in", &NetStats::frames_in);
+    v("frames_out", &NetStats::frames_out);
+    v("bytes_in", &NetStats::bytes_in);
+    v("bytes_out", &NetStats::bytes_out);
+    v("protocol_errors", &NetStats::protocol_errors);
+    v("quota_rejected", &NetStats::quota_rejected);
+    v("backpressure_rejected", &NetStats::backpressure_rejected);
+    v("slow_disconnects", &NetStats::slow_disconnects);
+    v("tenants", &NetStats::tenants);
+  }
 };
 
-/// \brief Full runtime snapshot.
-struct RuntimeStats {
+/// \brief Full runtime snapshot. The SessionCounters base holds the totals
+/// of every query's session counters.
+struct RuntimeStats : SessionCounters {
   Timestamp tick = 0;            ///< last completed tick
   uint64_t ticks_processed = 0;  ///< ticks executed since Start
   size_t num_queries = 0;
@@ -165,15 +211,10 @@ struct RuntimeStats {
   /// sampling sessions.
   std::vector<std::pair<std::string, size_t>> class_counts;
   /// Per-tick advance latency aggregated per query class, (class name,
-  /// summary) in class order — makes a regression in one class observable
-  /// even when the mixed tick latency hides it.
+  /// summary) in class order, for the classes that have run a tick —
+  /// makes a regression in one class observable even when the mixed tick
+  /// latency hides it.
   std::vector<std::pair<std::string, LatencySummary>> class_latency;
-  /// Safe-path cache totals across every safe session (bounded-memory
-  /// serving observability; per-query breakdown in QueryStats).
-  size_t safe_memo_entries = 0;
-  uint64_t safe_memo_evictions = 0;
-  size_t safe_rows_live = 0;
-  uint64_t safe_row_evictions = 0;
   // --- cross-query sharing counters (docs/SHARING.md) ---------------------
   /// Materialized sharing groups: sub-chain units stepped once per tick
   /// and read by >= 2 sessions.
@@ -194,23 +235,6 @@ struct RuntimeStats {
   uint64_t kernel_cache_hits = 0;
   uint64_t kernel_cache_misses = 0;
   size_t kernel_cache_entries = 0;
-  /// Chains stepping on the vectorized SoA kernel path across all queries
-  /// (docs/PERF.md), with their whole-stripe steps and per-unit demotions
-  /// (stripe_fallbacks growing under rebalance churn means shard splits
-  /// are shearing lane-interleaved stripes).
-  size_t simd_units = 0;
-  uint64_t stripe_steps = 0;
-  uint64_t stripe_fallbacks = 0;
-  // --- chain lifecycle totals (docs/PERF.md "Chain lifecycle") ------------
-  /// Summed session footprints; total_chains counts registered units, and
-  /// resident + stub + spilled partitions them.
-  size_t bytes_resident = 0;
-  size_t resident_units = 0;
-  size_t stub_units = 0;
-  size_t spilled_units = 0;
-  uint64_t promotions = 0;
-  uint64_t spills = 0;
-  uint64_t rehydrations = 0;
   /// End-to-end per-tick wall time. Under windowed execution each tick of
   /// a window records the window's wall time divided by its width, so the
   /// count still equals ticks_processed and the mean is the true
@@ -241,11 +265,64 @@ struct RuntimeStats {
   std::vector<QueryStats> queries;
   std::vector<ShardStats> shards;
 
-  /// Multi-line human-readable table.
+  template <class V>
+  static void Fields(V&& v) {
+    v("tick", &RuntimeStats::tick);
+    v("ticks_processed", &RuntimeStats::ticks_processed);
+    v("queries", &RuntimeStats::num_queries);
+    v("chains", &RuntimeStats::total_chains);
+    v("threads", &RuntimeStats::num_threads);
+    v.Section("ingest");
+    v("queue_depth", &RuntimeStats::queue_depth);
+    v("queue_capacity", &RuntimeStats::queue_capacity);
+    v("queue_dropped", &RuntimeStats::queue_dropped);
+    v("queue_closed_rejected", &RuntimeStats::queue_closed_rejected);
+    v("batches_applied", &RuntimeStats::batches_applied);
+    v("batches_rejected", &RuntimeStats::batches_rejected);
+    v("last_ingest_error", &RuntimeStats::last_ingest_error);
+    v.Section("reorder");
+    v("reorder_depth", &RuntimeStats::reorder_depth);
+    v("reorder_window", &RuntimeStats::reorder_window);
+    v("reorder_late_dropped", &RuntimeStats::reorder_late_dropped);
+    v("reorder_merged", &RuntimeStats::reorder_merged);
+    v.Section("windows");
+    v("windows_executed", &RuntimeStats::windows_executed);
+    v("max_window_ticks", &RuntimeStats::max_window_ticks);
+    v("steals", &RuntimeStats::steals);
+    v("split_placements", &RuntimeStats::split_placements);
+    v("rebalances", &RuntimeStats::rebalances);
+    v("plan_rebuilds", &RuntimeStats::plan_rebuilds);
+    v("window_size_hist", &RuntimeStats::window_size_hist);
+    v("barrier_wait", &RuntimeStats::barrier_wait);
+    v("classes", &RuntimeStats::class_counts);
+    v.Section("safe");
+    MemoFields(v);
+    v.Section("lifecycle");
+    LifecycleFields(v);
+    v.Section("sharing");
+    v("sharing_groups", &RuntimeStats::sharing_groups);
+    v("shared_steps_executed", &RuntimeStats::shared_steps_executed);
+    v("shared_steps_saved", &RuntimeStats::shared_steps_saved);
+    v("prepared_dedup_hits", &RuntimeStats::prepared_dedup_hits);
+    v("kernel_cache_hits", &RuntimeStats::kernel_cache_hits);
+    v("kernel_cache_misses", &RuntimeStats::kernel_cache_misses);
+    v("kernel_cache_entries", &RuntimeStats::kernel_cache_entries);
+    KernelFields(v);
+    v("sharing_fanout_hist", &RuntimeStats::sharing_fanout_hist);
+    v("class_latency", &RuntimeStats::class_latency);
+    v("net", &RuntimeStats::net, Presence::kWhenNonZero);
+    v("query_stats", &RuntimeStats::queries);
+    v("shards", &RuntimeStats::shards);
+    v("tick_latency", &RuntimeStats::tick_latency);
+  }
+
+  /// Multi-line human-readable form: one `label: key=value ...` line per
+  /// section, nested objects indented below, all-zero lines dropped.
   std::string ToString() const;
-  /// One JSON object (the shape bench_t04_runtime_scaling emits per cell).
-  /// All embedded strings — query text, error messages, tenant names — are
-  /// JSON-escaped, so a query containing `"` stays parseable.
+  /// One JSON object (the shape bench_t04_runtime_scaling emits per cell,
+  /// and the body of the wire kStats reply). All embedded strings — query
+  /// text, error messages, tenant names — are JSON-escaped, so a query
+  /// containing `"` stays parseable.
   std::string ToJson() const;
 };
 

@@ -296,12 +296,10 @@ TEST(ChainLifecycleTest, RowPoolEvictionRebuildsDeterministically) {
   EXPECT_GT(rebuilds, 0u);
 }
 
-TEST(ChainLifecycleTest, Float32TierChainsRehydrateIntoSameTier) {
-  // float32 rows are a *tier*, not an accident of construction: a chain
-  // built on the f32 tier that spills cold must rehydrate back onto the
-  // f32 tier (and stay bit-identical to an always-materialized engine of
-  // the same tier — cross-tier comparison is only near-equal, see
-  // kernel_equivalence_test).
+TEST(ChainLifecycleTest, SimdChainsRehydrateOntoSimdPath) {
+  // The step path is chosen by the options, not by construction history: a
+  // SIMD chain that spills cold must rehydrate back onto the SIMD path
+  // (and stay bit-identical to an always-materialized SIMD engine).
   const Timestamp horizon = 20;
   EventDatabase db;
   AddScheduledStream(&db, "hot", horizon, [](Timestamp) { return true; });
@@ -310,18 +308,16 @@ TEST(ChainLifecycleTest, Float32TierChainsRehydrateIntoSameTier) {
   });
 
   TransitionRowPool pool;
-  ChainOptions f32_dense;
-  f32_dense.step_mode = KernelStepMode::kSimd;
-  f32_dense.float32_rows = true;
-  f32_dense.row_pool = &pool;
-  ChainOptions f32_cycle = Lifecycle(/*lazy=*/true, /*spill=*/true,
-                                     /*cold_after=*/3);
-  f32_cycle.step_mode = KernelStepMode::kSimd;
-  f32_cycle.float32_rows = true;
-  f32_cycle.row_pool = &pool;
+  ChainOptions simd_dense;
+  simd_dense.step_mode = KernelStepMode::kSimd;
+  simd_dense.row_pool = &pool;
+  ChainOptions simd_cycle = Lifecycle(/*lazy=*/true, /*spill=*/true,
+                                      /*cold_after=*/3);
+  simd_cycle.step_mode = KernelStepMode::kSimd;
+  simd_cycle.row_pool = &pool;
 
-  auto dense = MakeEngine(&db, f32_dense);
-  auto cycle = MakeEngine(&db, f32_cycle);
+  auto dense = MakeEngine(&db, simd_dense);
+  auto cycle = MakeEngine(&db, simd_cycle);
   ASSERT_OK(dense.status());
   ASSERT_OK(cycle.status());
   EXPECT_EQ(dense->num_simd(), 2u);
@@ -329,12 +325,11 @@ TEST(ChainLifecycleTest, Float32TierChainsRehydrateIntoSameTier) {
   for (Timestamp t = 1; t <= horizon; ++t) {
     EXPECT_EQ(dense->Step(), cycle->Step()) << "t=" << t;
     if (t == 5) {
-      // Both keys loud and materialized: "w" was promoted onto the tier
+      // Both keys loud and materialized: "w" was promoted onto the path
       // its options name.
       ASSERT_EQ(cycle->num_resident(), 2u);
       for (size_t i = 0; i < cycle->num_chains(); ++i) {
         EXPECT_TRUE(cycle->chain(i).simd()) << "chain=" << i;
-        EXPECT_TRUE(cycle->chain(i).float32_rows()) << "chain=" << i;
       }
     }
     if (t == 16) {
@@ -344,11 +339,10 @@ TEST(ChainLifecycleTest, Float32TierChainsRehydrateIntoSameTier) {
     }
   }
   ASSERT_OK(cycle->ChainStatus());
-  // "w" reawakened at t=17: back to resident, same tier.
+  // "w" reawakened at t=17: back to resident, same path.
   ASSERT_EQ(cycle->num_resident(), 2u);
   for (size_t i = 0; i < cycle->num_chains(); ++i) {
     EXPECT_TRUE(cycle->chain(i).simd()) << "chain=" << i;
-    EXPECT_TRUE(cycle->chain(i).float32_rows()) << "chain=" << i;
   }
   serial::Writer wd, wc;
   dense->SaveState(&wd);

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <limits>
 #include <set>
+#include <string>
 
+#include "common/file.h"
 #include "common/interner.h"
 #include "common/matrix.h"
 #include "common/rng.h"
@@ -295,6 +298,69 @@ TEST(MatrixTest, SumAndNormalizeVector) {
   Normalize(&v);
   EXPECT_DOUBLE_EQ(v[0], 0.25);
   EXPECT_DOUBLE_EQ(v[1], 0.75);
+}
+
+// --- WriteFileAtomic / ReadFile ---------------------------------------------
+
+// A fresh, empty directory per test under the gtest temp dir.
+class AtomicFileTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    dir_ = std::filesystem::path(::testing::TempDir()) /
+           (std::string("lahar_atomic_") + info->name());
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  std::set<std::string> Entries() const {
+    std::set<std::string> names;
+    for (const auto& e : std::filesystem::directory_iterator(dir_)) {
+      names.insert(e.path().filename().string());
+    }
+    return names;
+  }
+
+  std::filesystem::path dir_;
+};
+
+TEST_F(AtomicFileTest, RoundTripsBytes) {
+  const std::string path = (dir_ / "ckpt").string();
+  const std::string bytes("snap\0shot\xff", 10);
+  ASSERT_TRUE(WriteFileAtomic(path, bytes).ok());
+  auto back = ReadFile(path);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(*back, bytes);
+}
+
+TEST_F(AtomicFileTest, ShorterRewriteLeavesNoStaleTail) {
+  const std::string path = (dir_ / "ckpt").string();
+  ASSERT_TRUE(WriteFileAtomic(path, std::string(4096, 'a')).ok());
+  ASSERT_TRUE(WriteFileAtomic(path, "bb").ok());
+  auto back = ReadFile(path);
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(*back, "bb");
+}
+
+TEST_F(AtomicFileTest, MissingParentDirectoryFailsAndCreatesNothing) {
+  const std::filesystem::path missing = dir_ / "no_such_dir";
+  Status s = WriteFileAtomic((missing / "ckpt").string(), "bytes");
+  EXPECT_FALSE(s.ok());
+  EXPECT_FALSE(std::filesystem::exists(missing));
+  EXPECT_TRUE(Entries().empty());
+}
+
+TEST_F(AtomicFileTest, NoTempFileRemainsAfterSuccess) {
+  const std::string path = (dir_ / "ckpt").string();
+  ASSERT_TRUE(WriteFileAtomic(path, "one").ok());
+  ASSERT_TRUE(WriteFileAtomic(path, "two").ok());
+  EXPECT_EQ(Entries(), std::set<std::string>{"ckpt"});
+}
+
+TEST_F(AtomicFileTest, ReadingAMissingFileIsNotFound) {
+  auto back = ReadFile((dir_ / "absent").string());
+  EXPECT_EQ(back.status().code(), StatusCode::kNotFound);
 }
 
 }  // namespace

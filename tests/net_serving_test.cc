@@ -200,8 +200,8 @@ TEST(NetServingTest, TenantQuotaRejectsDeterministically) {
   NetStats net = sut.server->NetCounters();
   EXPECT_EQ(net.quota_rejected, 1u);
   bool found = false;
-  for (const NetTenantStats& t : net.tenants) {
-    if (t.tenant != "metered") continue;
+  for (const auto& [tenant, t] : net.tenants) {
+    if (tenant != "metered") continue;
     found = true;
     EXPECT_EQ(t.ingest_frames, 3u);
     EXPECT_EQ(t.quota_rejected, 1u);

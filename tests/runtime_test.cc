@@ -640,6 +640,48 @@ TEST(StreamRuntimeTest, StatsCountTicksQueriesAndQueue) {
   EXPECT_NE(stats.ToJson().find("\"split_placements\""), std::string::npos);
 }
 
+TEST(StreamRuntimeTest, QuerySnapshotMatchesItsStatsEntry) {
+  EventDatabase archive;
+  AddMarkovStream(&archive, "At", "Joe", {"a", "b", "c"}, 4, 0.7);
+  auto clone = CloneDeclarations(archive);
+  ASSERT_OK(clone.status());
+  auto batches = ExtractBatches(archive);
+  ASSERT_OK(batches.status());
+  StreamRuntime runtime(clone->get(), RuntimeOptions{});
+  auto first = runtime.Register("At('Joe', l : l = 'a')");
+  ASSERT_OK(first.status());
+  auto second =
+      runtime.Register("At('Joe', l1 : l1 = 'a'); At('Joe', l2 : l2 = 'b')");
+  ASSERT_OK(second.status());
+  EXPECT_EQ(runtime.QueryIds(), (std::vector<QueryId>{*first, *second}));
+  RunToCompletion(&runtime, std::move(*batches));
+
+  auto one = runtime.QuerySnapshot(*second);
+  ASSERT_OK(one.status());
+  RuntimeStats all = runtime.Stats();
+  ASSERT_EQ(all.queries.size(), 2u);
+  const QueryStats& entry = all.queries[1];
+  EXPECT_EQ(one->id, *second);
+  EXPECT_EQ(one->text, entry.text);
+  EXPECT_EQ(one->query_class, entry.query_class);
+  EXPECT_EQ(one->engine, entry.engine);
+  EXPECT_EQ(one->exact, entry.exact);
+  EXPECT_EQ(one->num_chains, entry.num_chains);
+  EXPECT_EQ(one->ticks, entry.ticks);
+  EXPECT_EQ(one->advance.count, entry.advance.count);
+  EXPECT_EQ(one->simd_units, entry.simd_units);
+  EXPECT_EQ(one->bytes_resident, entry.bytes_resident);
+  EXPECT_EQ(one->resident_units, entry.resident_units);
+  // The runtime totals are the field-wise sums of the per-query entries.
+  EXPECT_EQ(all.simd_units,
+            all.queries[0].simd_units + all.queries[1].simd_units);
+  EXPECT_EQ(all.bytes_resident,
+            all.queries[0].bytes_resident + all.queries[1].bytes_resident);
+
+  EXPECT_EQ(runtime.QuerySnapshot(*second + 100).status().code(),
+            StatusCode::kNotFound);
+}
+
 TEST(StreamRuntimeTest, SimdUnitsAreReportedInStats) {
   EventDatabase archive;
   // Dense self-biased CPT over three states: density 10/16 clears the

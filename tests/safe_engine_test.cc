@@ -398,7 +398,7 @@ TEST(SafeEngineTest, TinyCapacitiesEvictButNeverChangeAnswers) {
   for (size_t t = 1; t < got->size(); ++t) {
     EXPECT_EQ((*got)[t], (*want)[t]) << "t=" << t;
   }
-  SafeMemoStats stats = capped->MemoStats();
+  SessionCounters stats = capped->MemoStats();
   EXPECT_GT(stats.memo_evictions, 0u);  // 48 diagonal keys through 4 slots
   EXPECT_LE(stats.memo_entries, 4u);
   EXPECT_GT(stats.row_evictions, 0u);

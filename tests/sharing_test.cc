@@ -195,7 +195,7 @@ TEST(RegistrySharingTest, ChurnDissolvesAndRematerializesGroups) {
   EXPECT_EQ(registry.num_sharing_groups(), 1u);
   StandingQuery* q1 = registry.Find(*id1);
   ASSERT_NE(q1, nullptr);
-  EXPECT_EQ(q1->session->NumDelegatedUnits(), 1u);
+  EXPECT_EQ(q1->session->Counters().shared_units, 1u);
 
   auto advance_all = [&](Timestamp t) {
     registry.AdvanceSharedUnits(t);
@@ -211,7 +211,7 @@ TEST(RegistrySharingTest, ChurnDissolvesAndRematerializesGroups) {
   // shared state forward privately.
   ASSERT_OK(registry.Unregister(*id2));
   EXPECT_EQ(registry.num_sharing_groups(), 0u);
-  EXPECT_EQ(q1->session->NumDelegatedUnits(), 0u);
+  EXPECT_EQ(q1->session->Counters().shared_units, 0u);
   for (Timestamp t = 5; t <= 6; ++t) advance_all(t);
 
   // A new alpha-variant member arrives mid-stream: catch-up replay brings
@@ -219,7 +219,7 @@ TEST(RegistrySharingTest, ChurnDissolvesAndRematerializesGroups) {
   auto id3 = registry.Register("At('tag1', z : Room(z))", 6);
   ASSERT_OK(id3.status());
   EXPECT_EQ(registry.num_sharing_groups(), 1u);
-  EXPECT_EQ(q1->session->NumDelegatedUnits(), 1u);
+  EXPECT_EQ(q1->session->Counters().shared_units, 1u);
   for (Timestamp t = 7; t <= kHorizon; ++t) advance_all(t);
   uint64_t saved = registry.shared_steps_saved();
   EXPECT_GT(saved, 0u);
