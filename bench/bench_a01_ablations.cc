@@ -14,7 +14,6 @@
 
 #include "bench_util.h"
 #include "engine/extended_engine.h"
-#include "engine/safe_engine.h"
 #include "engine/sampling_engine.h"
 
 namespace lahar {
@@ -25,7 +24,7 @@ using bench::kSafeQuery;
 
 // Shared scenario/db cache so each benchmark iteration measures evaluation,
 // not simulation.
-const EventDatabase& FilteredDb(size_t tags, Timestamp horizon) {
+EventDatabase& FilteredDb(size_t tags, Timestamp horizon) {
   static std::map<std::pair<size_t, Timestamp>,
                   std::unique_ptr<EventDatabase>>
       cache;
@@ -39,15 +38,15 @@ const EventDatabase& FilteredDb(size_t tags, Timestamp horizon) {
   return *it->second;
 }
 
-PreparedQuery Prepare(const EventDatabase& db, const char* query) {
-  Lahar lahar(const_cast<EventDatabase*>(&db));
+PreparedQuery Prepare(EventDatabase& db, const char* query) {
+  Lahar lahar(&db);
   auto prepared = lahar.Prepare(query);
   return *prepared;
 }
 
 void BM_NfaTransition(benchmark::State& state) {
   const bool memo = state.range(0) != 0;
-  const EventDatabase& db = FilteredDb(1, 60);
+  EventDatabase& db = FilteredDb(1, 60);
   PreparedQuery prepared = Prepare(db, kQ2Sequence);
   auto nfa = QueryNfa::Build(prepared.normalized);
   nfa->set_memoization(memo);
@@ -106,15 +105,15 @@ BENCHMARK(BM_RegularChainStepVsDomain)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
 
 void BM_SafePlanTruncation(benchmark::State& state) {
   const bool lazy = state.range(0) != 0;
-  const EventDatabase& db = FilteredDb(3, 1500);
+  EventDatabase& db = FilteredDb(3, 1500);
   PreparedQuery prepared = Prepare(db, kSafeQuery);
   for (auto _ : state) {
-    PlanOptions options;
-    options.assume_distinct_keys = true;
-    options.seq_truncate = lazy ? 1e-12 : 0.0;
-    auto engine = SafePlanEngine::Create(prepared.normalized, db, options);
-    auto probs = engine->Run();
-    benchmark::DoNotOptimize(probs);
+    LaharOptions options;
+    options.plan.assume_distinct_keys = true;
+    options.plan.seq_truncate = lazy ? 1e-12 : 0.0;
+    options.allow_sampling_fallback = false;
+    auto answer = Lahar(&db, options).Run(prepared);
+    benchmark::DoNotOptimize(answer);
   }
   state.SetLabel(lazy ? "truncated/lazy" : "eager");
 }
@@ -122,13 +121,12 @@ BENCHMARK(BM_SafePlanTruncation)->Arg(1)->Arg(0)->Unit(benchmark::kMillisecond);
 
 void BM_SamplingVsSampleCount(benchmark::State& state) {
   const size_t samples = static_cast<size_t>(state.range(0));
-  const EventDatabase& db = FilteredDb(5, 60);
+  EventDatabase& db = FilteredDb(5, 60);
   PreparedQuery prepared = Prepare(db, kQ2Sequence);
   for (auto _ : state) {
     SamplingOptions options;
     options.num_samples = samples;
-    auto engine = SamplingEngine::Create(
-        prepared.ast, db, options);
+    auto engine = SamplingEngine::Create(prepared, db, options);
     auto probs = engine->Run();
     benchmark::DoNotOptimize(probs);
   }

@@ -52,7 +52,7 @@ Row RunOne(const char* query, size_t tags) {
   }));
   row.sampling = Throughput(tuples, TimeMs([&] {
     SamplingOptions options;  // epsilon = delta = 0.1 -> 150 samples
-    auto engine = SamplingEngine::Create(prepared->ast, **db, options);
+    auto engine = SamplingEngine::Create(*prepared, **db, options);
     auto probs = engine->Run();
     (void)probs;
   }));

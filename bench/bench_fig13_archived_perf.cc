@@ -86,7 +86,7 @@ void RunQuery(const char* label,
     });
     double sampling_ms = TimeMs([&] {
       for (const PreparedQuery& p : prepared) {
-        auto engine = SamplingEngine::Create(p.ast, **db, {});
+        auto engine = SamplingEngine::Create(p, **db, {});
         auto probs = engine->Run();
         (void)probs;
       }

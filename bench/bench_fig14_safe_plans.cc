@@ -6,7 +6,6 @@
 #include <cmath>
 
 #include "bench_util.h"
-#include "engine/safe_engine.h"
 #include "engine/sampling_engine.h"
 
 using namespace lahar;
@@ -14,20 +13,15 @@ using namespace lahar::bench;
 
 namespace {
 
-double SafeMs(const PreparedQuery& prepared, const EventDatabase& db) {
+double SafeMs(const PreparedQuery& prepared, EventDatabase* db) {
   return TimeMs([&] {
-    PlanOptions options;
-    options.assume_distinct_keys = true;
-    auto engine = SafePlanEngine::Create(prepared.normalized, db, options);
-    if (!engine.ok()) {
+    LaharOptions options;
+    options.plan.assume_distinct_keys = true;
+    options.allow_sampling_fallback = false;
+    auto answer = Lahar(db, options).Run(prepared);
+    if (!answer.ok()) {
       std::fprintf(stderr, "safe plan: %s\n",
-                   engine.status().ToString().c_str());
-      return;
-    }
-    auto probs = engine->Run();
-    if (!probs.ok()) {
-      std::fprintf(stderr, "safe run: %s\n",
-                   probs.status().ToString().c_str());
+                   answer.status().ToString().c_str());
     }
   });
 }
@@ -50,9 +44,9 @@ int main() {
       std::fprintf(stderr, "%s\n", prepared.status().ToString().c_str());
       return 1;
     }
-    double safe_ms = SafeMs(*prepared, **db);
+    double safe_ms = SafeMs(*prepared, db->get());
     double sampling_ms = TimeMs([&] {
-      auto engine = SamplingEngine::Create(prepared->ast, **db, {});
+      auto engine = SamplingEngine::Create(*prepared, **db, {});
       auto probs = engine->Run();
       (void)probs;
     });
@@ -73,7 +67,7 @@ int main() {
     Lahar lahar(db->get());
     auto prepared = lahar.Prepare(kSafeQuery);
     if (!prepared.ok()) return 1;
-    double ms = SafeMs(*prepared, **db);
+    double ms = SafeMs(*prepared, db->get());
     if (base_ms == 0) {
       base_ms = ms;
       base_T = T;

@@ -42,7 +42,7 @@ int main() {
     options.epsilon = eps;
     options.delta = delta;
     options.seed = 77;
-    auto engine = SamplingEngine::Create(prepared->ast, **db, options);
+    auto engine = SamplingEngine::Create(*prepared, **db, options);
     if (!engine.ok()) return 1;
     std::vector<double> approx;
     double ms = TimeMs([&] {

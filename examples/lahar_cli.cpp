@@ -12,33 +12,58 @@
 //                                   "wide" (200-tag diurnal wide-floorplan
 //                                   population; see docs/PERF.md "Chain
 //                                   lifecycle")
-//   lahar_cli --serve DBFILE QUERY...
+//   lahar_cli --serve [flags] DBFILE QUERY...
 //                                   replay DBFILE live through the
 //                                   concurrent runtime (docs/RUNTIME.md)
+//                                   and print every published tick
+//   lahar_cli --serve --port N [flags] DBFILE [QUERY...]
+//                                   serve DBFILE's declarations over TCP:
+//                                   clients stream ingest, register
+//                                   queries and subscribe with the binary
+//                                   protocol of src/net/protocol.h
+//                                   (docs/SERVING.md); the bound port is
+//                                   printed as "listening on HOST:PORT"
 //   lahar_cli --connect HOST:PORT QUERY...
 //                                   register queries on a running
-//                                   lahar_server and stream the pushed
-//                                   per-tick probabilities (docs/SERVING.md)
+//                                   --serve --port server and stream the
+//                                   pushed per-tick probabilities
 //
 // Serve-mode flags (anywhere after --serve):
 //   --checkpoint-every N            checkpoint the runtime every N ticks
-//   --checkpoint-path FILE          where to write it (default lahar.ckpt)
+//                                   (needs --checkpoint-path)
+//   --checkpoint-path FILE          where periodic, client-triggered and
+//                                   final checkpoints are written
 //   --restore FILE                  resume from a checkpoint: queries come
-//                                   from the snapshot (none on the command
-//                                   line) and already-consumed ticks are
-//                                   skipped on replay
+//                                   from the snapshot (none are needed on
+//                                   the command line) and a replay skips
+//                                   the ticks it already consumed
 //   --threads N                     runtime worker threads (default
 //                                   hardware concurrency)
 //   --pin                           pin worker i to core i mod cores
 //                                   (Linux only; ignored elsewhere)
+//   --queue-capacity N              ingest queue depth in batches
+//                                   (default 256)
+//   --port N                        ingest over TCP instead of replaying
+//                                   DBFILE (0 = ephemeral port)
+//   --host ADDR                     bind address (default 127.0.0.1)
+//   --max-connections N             connection cap (default 256)
+//   --outbound-limit B              per-connection outbound byte cap; a
+//                                   subscriber lagging past it is
+//                                   disconnected (default 4MiB)
+//   --quota-burst N                 default per-tenant ingest token bucket
+//                                   size (default 0 = unlimited)
+//   --quota-refill R                tokens per second refilled into it
+// The network flags (--host and after) take effect only with --port.
 //
 // Connect-mode flags (anywhere after --connect):
 //   --tenant NAME                   tenant for the kHello handshake
 //   --stats                         print the server's stats JSON and exit
 //
-// Serve mode shuts down gracefully on SIGINT/SIGTERM: the producer stops,
-// the ingest queue drains through its remaining ticks, a final checkpoint
-// is written when --checkpoint-path was given, and the process exits 0.
+// Serve mode shuts down gracefully on SIGINT/SIGTERM: input stops (the
+// replay producer, or the server's ingest), the ingest queue drains
+// through its remaining ticks, a final checkpoint is written when
+// --checkpoint-path was given, the stats are printed, and the process
+// exits 0.
 //
 // The database format is documented in src/model/io.h; --gen produces one
 // to play with:
@@ -50,6 +75,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -60,6 +86,7 @@
 #include "parse_flags.h"
 #include "model/io.h"
 #include "net/client.h"
+#include "net/server.h"
 #include "query/printer.h"
 #include "runtime/executor.h"
 #include "runtime/replay.h"
@@ -225,41 +252,50 @@ int RunQuery(EventDatabase* db, const std::string& query) {
   return 0;
 }
 
-// Serve-mode checkpoint configuration (see the usage comment up top).
+// Serve-mode configuration (see the usage comment up top).
 struct ServeConfig {
+  RuntimeOptions runtime;
+  net::ServerOptions server;    // network fields apply with --port only
+  bool tcp = false;             // --port given: ingest arrives over TCP
   size_t checkpoint_every = 0;  // 0 = never checkpoint
-  std::string checkpoint_path = "lahar.ckpt";
-  bool checkpoint_path_set = false;  // --checkpoint-path given explicitly
-  std::string restore_path;          // empty = fresh start
-  size_t num_threads = 0;            // 0 = hardware concurrency
-  bool pin_threads = false;          // pin worker i to core i mod cores
+  std::string restore_path;     // empty = fresh start
 };
 
-// Replays an archived database through the streaming runtime as if its
-// timesteps were arriving live: standing queries are registered up front, a
-// producer thread pushes one TickBatch per timestep with backpressure, and
-// every published TickResult is printed as it completes.
-int Serve(EventDatabase* archive, const std::vector<std::string>& queries,
-          const ServeConfig& config) {
-  auto live = CloneDeclarations(*archive);
+bool WriteCheckpoint(const StreamRuntime& runtime, const std::string& path,
+                     const char* what) {
+  auto snapshot = runtime.Checkpoint();
+  Status s = snapshot.ok() ? WriteFileAtomic(path, *snapshot)
+                           : snapshot.status();
+  if (!s.ok()) std::fprintf(stderr, "%s: %s\n", what, s.ToString().c_str());
+  return s.ok();
+}
+
+// Serves an archived database through the streaming runtime. The modes
+// differ only in their input: by default a producer pushes one TickBatch
+// per archived timestep, with backpressure, as if it were arriving live,
+// and every published TickResult is printed; with --port a net::Server
+// takes ingest, registrations and subscriptions over TCP (docs/SERVING.md).
+int Serve(const EventDatabase& archive,
+          const std::vector<std::string>& queries, ServeConfig config) {
+  auto live = CloneDeclarations(archive);
   if (!live.ok()) {
     std::fprintf(stderr, "%s\n", live.status().ToString().c_str());
     return 1;
   }
-  auto batches = ExtractBatches(*archive);
-  if (!batches.ok()) {
-    std::fprintf(stderr, "%s\n", batches.status().ToString().c_str());
-    return 1;
+  std::vector<TickBatch> batches;
+  if (!config.tcp) {
+    auto extracted = ExtractBatches(archive);
+    if (!extracted.ok()) {
+      std::fprintf(stderr, "%s\n", extracted.status().ToString().c_str());
+      return 1;
+    }
+    batches = std::move(*extracted);
   }
-  RuntimeOptions options;
-  options.queue_capacity = 16;
-  options.num_threads = config.num_threads;
-  options.pin_threads = config.pin_threads;
   // Serve every query class: Safe queries compile to incremental plans
   // (distinct-keys assumption, as in batch mode) and Unsafe or
   // plan-less Safe queries fall back to approximate sampling sessions.
-  options.session.plan.assume_distinct_keys = true;
-  StreamRuntime runtime(live->get(), options);
+  config.runtime.session.plan.assume_distinct_keys = true;
+  StreamRuntime runtime(live->get(), config.runtime);
   std::vector<QueryId> ids;
   if (!config.restore_path.empty()) {
     auto snapshot = ReadFile(config.restore_path);
@@ -294,37 +330,51 @@ int Serve(EventDatabase* archive, const std::vector<std::string>& queries,
                 qs->exact ? "" : ", (eps,delta)-approximate",
                 qs->text.c_str());
   }
-  std::printf("# t");
-  for (QueryId id : ids) {
-    std::printf("  P[q%llu@t]", static_cast<unsigned long long>(id));
-  }
-  std::printf("\n");
-  runtime.SetTickCallback([&](const TickResult& r) {
-    std::printf("%u", r.t);
-    for (QueryId id : ids) {
-      const double* p = r.Find(id);
-      std::printf(" %.6f", p ? *p : 0.0);
-    }
-    std::printf("\n");
-    if (config.checkpoint_every > 0 && r.t % config.checkpoint_every == 0) {
-      // Checkpoint() is callback-safe: the coordinator holds no locks here,
-      // and the snapshot lands exactly at tick r.t.
-      auto snapshot = runtime.Checkpoint();
-      if (!snapshot.ok()) {
-        std::fprintf(stderr, "checkpoint: %s\n",
-                     snapshot.status().ToString().c_str());
-      } else if (Status s = WriteFileAtomic(config.checkpoint_path, *snapshot);
-                 !s.ok()) {
-        std::fprintf(stderr, "checkpoint: %s\n", s.ToString().c_str());
+  const std::string& checkpoint_path = config.server.checkpoint_path;
+  auto on_tick = [&](const TickResult& r) {
+    if (!config.tcp) {
+      std::printf("%u", r.t);
+      for (QueryId id : ids) {
+        const double* p = r.Find(id);
+        std::printf(" %.6f", p ? *p : 0.0);
       }
+      std::printf("\n");
     }
-  });
-  const Timestamp resume_from = runtime.tick();
+    // Checkpoint() is callback-safe: the coordinator holds no locks here,
+    // and the snapshot lands exactly at tick r.t.
+    if (config.checkpoint_every > 0 && r.t % config.checkpoint_every == 0) {
+      WriteCheckpoint(runtime, checkpoint_path, "checkpoint");
+    }
+  };
   std::signal(SIGINT, OnSignal);
   std::signal(SIGTERM, OnSignal);
-  runtime.Start();
-  std::thread producer([&] {
-    for (TickBatch& b : *batches) {
+  std::unique_ptr<net::Server> server;
+  if (config.tcp) {
+    // The server owns the runtime's tick-callback slot.
+    config.server.on_tick = on_tick;
+    server = std::make_unique<net::Server>(&runtime, config.server);
+    runtime.Start();
+    if (Status s = server->Start(); !s.ok()) {
+      std::fprintf(stderr, "server: %s\n", s.ToString().c_str());
+      return 1;
+    }
+    std::printf("listening on %s:%u\n", config.server.host.c_str(),
+                server->port());
+    std::fflush(stdout);
+    while (g_signal == 0 && runtime.running()) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    }
+    server->Stop();  // no new ingest
+  } else {
+    std::printf("# t");
+    for (QueryId id : ids) {
+      std::printf("  P[q%llu@t]", static_cast<unsigned long long>(id));
+    }
+    std::printf("\n");
+    runtime.SetTickCallback(on_tick);
+    const Timestamp resume_from = runtime.tick();
+    runtime.Start();
+    for (TickBatch& b : batches) {
       if (g_signal != 0) break;  // graceful shutdown: stop producing
       // On restore, ticks the checkpoint already covers are history; the
       // runtime would reject them as duplicates anyway, so skip the push.
@@ -343,39 +393,33 @@ int Serve(EventDatabase* archive, const std::vector<std::string>& queries,
         break;
       }
     }
-    runtime.ingest().Close();  // end of stream: drain and stop
-  });
-  producer.join();
+  }
   if (g_signal != 0) {
     std::fprintf(stderr, "# interrupted: draining ingest queue...\n");
   }
-  // The queue is closed; the coordinator exits once it has drained through
-  // every accepted tick, whether we got here by end-of-stream or by signal.
+  // End of stream: the coordinator exits once the closed queue has drained
+  // through every accepted tick, whether we got here by end of input or by
+  // signal.
+  runtime.ingest().Close();
   while (runtime.running()) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
   runtime.Stop();
-  if (config.checkpoint_path_set) {
-    auto snapshot = runtime.Checkpoint();
-    if (!snapshot.ok()) {
-      std::fprintf(stderr, "final checkpoint: %s\n",
-                   snapshot.status().ToString().c_str());
-      return 1;
-    }
-    if (Status s = WriteFileAtomic(config.checkpoint_path, *snapshot); !s.ok()) {
-      std::fprintf(stderr, "final checkpoint: %s\n", s.ToString().c_str());
+  if (!checkpoint_path.empty()) {
+    if (!WriteCheckpoint(runtime, checkpoint_path, "final checkpoint")) {
       return 1;
     }
     std::printf("# final checkpoint (tick %u) written to %s\n",
-                runtime.tick(), config.checkpoint_path.c_str());
+                runtime.tick(), checkpoint_path.c_str());
   }
-  std::printf("\n%s", runtime.Stats().ToString().c_str());
+  RuntimeStats stats = server ? server->Stats() : runtime.Stats();
+  std::printf("\n%s", stats.ToString().c_str());
   return 0;
 }
 
-// Thin client over a running lahar_server: registers the queries remotely,
-// subscribes, and prints the pushed per-tick probabilities in the same
-// format Serve() uses locally.
+// Thin client over a running `--serve --port` server: registers the
+// queries remotely, subscribes, and prints the pushed per-tick
+// probabilities in the same format a replaying Serve() uses locally.
 int Connect(const std::string& endpoint, const std::string& tenant,
             bool stats_only, const std::vector<std::string>& queries) {
   auto colon = endpoint.rfind(':');
@@ -477,20 +521,48 @@ int main(int argc, char** argv) {
         return argv[++i];
       };
       uint64_t n = 0;
+      double d = 0;
       if (const char* v = flag_value("--checkpoint-every")) {
         if (!examples::ParseUint("--checkpoint-every", v, 0, UINT32_MAX, &n))
           return 2;
         config.checkpoint_every = static_cast<size_t>(n);
       } else if (const char* v = flag_value("--checkpoint-path")) {
-        config.checkpoint_path = v;
-        config.checkpoint_path_set = true;
+        config.server.checkpoint_path = v;
       } else if (const char* v = flag_value("--restore")) {
         config.restore_path = v;
       } else if (const char* v = flag_value("--threads")) {
         if (!examples::ParseUint("--threads", v, 0, 4096, &n)) return 2;
-        config.num_threads = static_cast<size_t>(n);
+        config.runtime.num_threads = static_cast<size_t>(n);
       } else if (std::strcmp(argv[i], "--pin") == 0) {
-        config.pin_threads = true;
+        config.runtime.pin_threads = true;
+      } else if (const char* v = flag_value("--queue-capacity")) {
+        if (!examples::ParseUint("--queue-capacity", v, 1, UINT32_MAX, &n))
+          return 2;
+        config.runtime.queue_capacity = static_cast<size_t>(n);
+      } else if (const char* v = flag_value("--port")) {
+        // 0 stays legal: it asks the OS for an ephemeral port.
+        if (!examples::ParseUint("--port", v, 0, 65535, &n)) return 2;
+        config.server.port = static_cast<uint16_t>(n);
+        config.tcp = true;
+      } else if (const char* v = flag_value("--host")) {
+        config.server.host = v;
+      } else if (const char* v = flag_value("--max-connections")) {
+        if (!examples::ParseUint("--max-connections", v, 1, UINT32_MAX, &n))
+          return 2;
+        config.server.max_connections = static_cast<size_t>(n);
+      } else if (const char* v = flag_value("--outbound-limit")) {
+        if (!examples::ParseUint("--outbound-limit", v, 1, UINT64_MAX / 2,
+                                 &n))
+          return 2;
+        config.server.outbound_buffer_limit = static_cast<size_t>(n);
+      } else if (const char* v = flag_value("--quota-burst")) {
+        if (!examples::ParseDouble("--quota-burst", v, 0.0, 1e18, &d))
+          return 2;
+        config.server.default_quota.burst = d;
+      } else if (const char* v = flag_value("--quota-refill")) {
+        if (!examples::ParseDouble("--quota-refill", v, 0.0, 1e18, &d))
+          return 2;
+        config.server.default_quota.refill_per_sec = d;
       } else if (!bad) {
         if (dbfile.empty()) {
           dbfile = argv[i];
@@ -499,14 +571,21 @@ int main(int argc, char** argv) {
         }
       }
     }
-    // Queries may all come from a restored checkpoint; otherwise at least
-    // one must be given on the command line.
+    if (config.checkpoint_every > 0 && config.server.checkpoint_path.empty()) {
+      std::fprintf(stderr, "--checkpoint-every needs --checkpoint-path\n");
+      return 2;
+    }
+    // A replay needs queries, from the command line or a restored
+    // checkpoint; a TCP server may start empty (clients register).
     if (bad || dbfile.empty() ||
-        (queries.empty() && config.restore_path.empty())) {
+        (queries.empty() && config.restore_path.empty() && !config.tcp)) {
       std::fprintf(stderr,
                    "usage: %s --serve [--checkpoint-every N] "
                    "[--checkpoint-path FILE] [--restore FILE] "
-                   "[--threads N] [--pin] DBFILE QUERY...\n",
+                   "[--threads N] [--pin] [--queue-capacity N] "
+                   "[--port N [--host ADDR] [--max-connections N] "
+                   "[--outbound-limit BYTES] [--quota-burst N] "
+                   "[--quota-refill R]] DBFILE QUERY...\n",
                    argv[0]);
       return 2;
     }
@@ -515,7 +594,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "%s\n", db.status().ToString().c_str());
       return 1;
     }
-    return Serve(db->get(), queries, config);
+    return Serve(**db, queries, std::move(config));
   }
   bool explain = argc >= 2 && std::strcmp(argv[1], "--explain") == 0;
   if (explain) {
@@ -570,7 +649,7 @@ int main(int argc, char** argv) {
                  "       %s --classify QUERY DBFILE\n"
                  "       %s --explain DBFILE QUERY...\n"
                  "       %s --gen DBFILE\n"
-                 "       %s --serve DBFILE QUERY...\n"
+                 "       %s --serve [--port N] DBFILE QUERY...\n"
                  "       %s --connect HOST:PORT QUERY...\n",
                  argv[0], argv[0], argv[0], argv[0], argv[0], argv[0]);
     return 2;

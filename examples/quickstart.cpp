@@ -6,9 +6,7 @@
 // for "Joe was in the hallway and then entered his office".
 #include <cstdio>
 
-#include "engine/regular_engine.h"
-#include "query/normalize.h"
-#include "query/parser.h"
+#include "engine/lahar.h"
 
 int main() {
   using namespace lahar;
@@ -45,29 +43,18 @@ int main() {
   if (!db.AddStream(std::move(joe)).ok()) return 1;
 
   // The event query: hallway, then office (immediate-successor semantics).
-  auto query = ParseQuery(
-      "At('Joe', l1 : l1 = 'hallway'); At('Joe', l2 : l2 = 'office')",
-      &db.interner());
-  if (!query.ok()) {
-    std::fprintf(stderr, "parse: %s\n", query.status().ToString().c_str());
-    return 1;
-  }
-  if (auto s = ValidateQuery(**query, db); !s.ok()) {
-    std::fprintf(stderr, "validate: %s\n", s.ToString().c_str());
-    return 1;
-  }
-  auto normalized = Normalize(**query);
-  if (!normalized.ok()) return 1;
-  auto engine = RegularEngine::Create(*normalized, db);
-  if (!engine.ok()) {
-    std::fprintf(stderr, "engine: %s\n", engine.status().ToString().c_str());
+  // Lahar parses and classifies it (Regular) and evaluates it to the horizon.
+  Lahar lahar(&db);
+  auto answer = lahar.Run(
+      "At('Joe', l1 : l1 = 'hallway'); At('Joe', l2 : l2 = 'office')");
+  if (!answer.ok()) {
+    std::fprintf(stderr, "query: %s\n", answer.status().ToString().c_str());
     return 1;
   }
 
   std::printf("t   P[Joe entered his office at t]\n");
-  std::vector<double> probs = engine->Run();
-  for (Timestamp t = 1; t < probs.size(); ++t) {
-    std::printf("%-3u %.4f\n", t, probs[t]);
+  for (Timestamp t = 1; t < answer->probs.size(); ++t) {
+    std::printf("%-3u %.4f\n", t, answer->probs[t]);
   }
   return 0;
 }

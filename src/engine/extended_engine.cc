@@ -685,7 +685,7 @@ double ExtendedRegularEngine::CommitParallelStep() {
   }
   // A single grounding needs no union, and 1 - (1 - p) is not an IEEE
   // no-op: returning p directly keeps Regular-class answers bit-identical
-  // to RegularEngine's.
+  // to a standalone RegularChain's.
   if (chain_probs_.size() == 1) return chain_probs_[0];
   double none = 1.0;
   for (double p : chain_probs_) none *= 1.0 - p;

@@ -1,10 +1,6 @@
 #include "engine/lahar.h"
 
-#include "engine/extended_engine.h"
-#include "engine/regular_engine.h"
-#include "engine/safe_engine.h"
 #include "engine/session.h"
-#include "query/parser.h"
 
 namespace lahar {
 
@@ -39,62 +35,14 @@ Result<std::unique_ptr<QuerySession>> Lahar::OpenSession(
 }
 
 Result<QueryAnswer> Lahar::Run(const PreparedQuery& prepared) const {
+  LAHAR_ASSIGN_OR_RETURN(std::unique_ptr<QuerySession> session,
+                         CreateQuerySession(db_, prepared, options_));
   QueryAnswer answer;
-  answer.query_class = prepared.classification.query_class;
-
-  auto sample = [&]() -> Result<QueryAnswer> {
-    LAHAR_ASSIGN_OR_RETURN(
-        SamplingEngine engine,
-        SamplingEngine::Create(prepared.ast, *db_, options_.sampling));
-    LAHAR_ASSIGN_OR_RETURN(answer.probs, engine.Run());
-    answer.engine = EngineKind::kSampling;
-    answer.exact = false;
-    return answer;
-  };
-
-  switch (prepared.classification.query_class) {
-    case QueryClass::kRegular: {
-      LAHAR_ASSIGN_OR_RETURN(
-          RegularEngine engine,
-          RegularEngine::Create(prepared.normalized, *db_));
-      answer.probs = engine.Run();
-      answer.engine = EngineKind::kRegular;
-      return answer;
-    }
-    case QueryClass::kExtendedRegular: {
-      LAHAR_ASSIGN_OR_RETURN(
-          ExtendedRegularEngine engine,
-          ExtendedRegularEngine::Create(prepared.normalized, *db_));
-      answer.probs = engine.Run();
-      answer.engine = EngineKind::kExtendedRegular;
-      return answer;
-    }
-    case QueryClass::kSafe: {
-      auto engine =
-          SafePlanEngine::Create(prepared.normalized, *db_, options_.plan);
-      if (engine.ok()) {
-        auto probs = engine->Run();
-        if (probs.ok()) {
-          answer.probs = std::move(*probs);
-          answer.engine = EngineKind::kSafePlan;
-          return answer;
-        }
-        if (!options_.allow_sampling_fallback) return probs.status();
-      } else if (!options_.allow_sampling_fallback) {
-        return engine.status();
-      }
-      return sample();
-    }
-    case QueryClass::kUnsafe: {
-      if (!options_.allow_sampling_fallback) {
-        return Status::UnsafeQuery(prepared.classification.reason)
-            .WithPayload(kQueryClassPayload,
-                         QueryClassName(QueryClass::kUnsafe));
-      }
-      return sample();
-    }
-  }
-  return Status::Internal("bad query class");
+  LAHAR_ASSIGN_OR_RETURN(answer.probs, session->RunToHorizon(db_->horizon()));
+  answer.engine = session->engine_kind();
+  answer.query_class = session->query_class();
+  answer.exact = session->exact();
+  return answer;
 }
 
 }  // namespace lahar

@@ -3,6 +3,12 @@
 // cheapest applicable engine, and returns per-timestep probabilities —
 // the event query evaluation problem mu(q@t) of Section 2.3.
 //
+// There is one evaluation path per query class. CreateQuerySession
+// (engine/session.h) is the only place a class is mapped to an engine;
+// batch Run() opens that same session and drives it to the database
+// horizon, so a batch answer and a standing query's per-tick answers come
+// from the same code.
+//
 //   EventDatabase db = ...;                 // streams + relations
 //   Lahar lahar(&db);
 //   auto result = lahar.Run("At('Joe', l : CRoom(l))");
@@ -38,7 +44,8 @@ const char* EngineKindName(EngineKind kind);
 struct LaharOptions {
   PlanOptions plan;
   SamplingOptions sampling;
-  /// Chain construction knobs for the streaming engines, including the
+  /// Chain construction knobs for the Regular and Extended Regular
+  /// sessions, batch Run() included: kernel budgets, step mode, and the
   /// chain lifecycle (lazy materialization / cold-chain spill; see
   /// docs/PERF.md "Chain lifecycle"). The kernel_cache / row_pool /
   /// stream_index pointers are ignored here — sessions wire those to the
@@ -62,7 +69,7 @@ struct QueryAnswer {
 
 class QuerySession;  // engine/session.h
 
-/// \brief Facade over the four engines.
+/// \brief Facade over the four engines, batch and standing queries alike.
 class Lahar {
  public:
   /// The database is non-const because parsing interns new symbols through
@@ -76,7 +83,10 @@ class Lahar {
   /// Parses, routes, and evaluates a query text.
   Result<QueryAnswer> Run(std::string_view text) const;
 
-  /// Evaluates an already-prepared query.
+  /// Evaluates an already-prepared query: opens the session OpenSession
+  /// would return and runs it to the database horizon (see
+  /// QuerySession::RunToHorizon). Rejections are OpenSession's, payload
+  /// included.
   Result<QueryAnswer> Run(const PreparedQuery& prepared) const;
 
   /// Opens an incremental standing-query session for `text`, routed to the

@@ -1140,20 +1140,4 @@ Status RegularChain::LoadState(serial::Reader* r) {
   return Status::OK();
 }
 
-Result<RegularEngine> RegularEngine::Create(const NormalizedQuery& q,
-                                            const EventDatabase& db,
-                                            const ChainOptions& options) {
-  LAHAR_ASSIGN_OR_RETURN(RegularChain chain,
-                         RegularChain::Create(q, db, options));
-  return RegularEngine(std::move(chain));
-}
-
-std::vector<double> RegularEngine::Run() {
-  std::vector<double> probs(chain_.horizon() + 1, 0.0);
-  for (Timestamp t = 1; t <= chain_.horizon(); ++t) {
-    probs[t] = chain_.Step();
-  }
-  return probs;
-}
-
 }  // namespace lahar

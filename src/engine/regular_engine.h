@@ -344,24 +344,6 @@ class RegularChain {
   Scratch scratch_;
 };
 
-/// \brief Engine for Regular Queries: one chain, streamed over the database.
-class RegularEngine {
- public:
-  /// Builds the engine; `q` must already be normalized and regular.
-  static Result<RegularEngine> Create(const NormalizedQuery& q,
-                                      const EventDatabase& db,
-                                      const ChainOptions& options = {});
-
-  /// P[q@t] for t = 1..horizon (index 0 unused).
-  std::vector<double> Run();
-
-  RegularChain& chain() { return chain_; }
-
- private:
-  explicit RegularEngine(RegularChain chain) : chain_(std::move(chain)) {}
-  RegularChain chain_;
-};
-
 }  // namespace lahar
 
 #endif  // LAHAR_ENGINE_REGULAR_ENGINE_H_

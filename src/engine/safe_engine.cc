@@ -781,15 +781,6 @@ Result<SafePlanEngine> SafePlanEngine::Create(const NormalizedQuery& q,
   return engine;
 }
 
-Result<std::vector<double>> SafePlanEngine::Run() {
-  LAHAR_RETURN_NOT_OK(root_->ExtendTo(db_->horizon()));
-  std::vector<double> out(db_->horizon() + 1, 0.0);
-  for (Timestamp t = 1; t <= db_->horizon(); ++t) {
-    LAHAR_ASSIGN_OR_RETURN(out[t], root_->Prob(t, t));
-  }
-  return out;
-}
-
 Result<double> SafePlanEngine::IntervalProb(Timestamp ts, Timestamp tf) {
   if (ts < 1) {
     return Status::InvalidArgument(
@@ -800,13 +791,6 @@ Result<double> SafePlanEngine::IntervalProb(Timestamp ts, Timestamp tf) {
         "IntervalProb requires ts <= tf (empty interval)");
   }
   return root_->Prob(ts, tf);
-}
-
-Status SafePlanEngine::ExtendTo(Timestamp t) { return root_->ExtendTo(t); }
-
-Result<double> SafePlanEngine::AdvanceTo(Timestamp t) {
-  LAHAR_RETURN_NOT_OK(root_->ExtendTo(t));
-  return root_->Prob(t, t);
 }
 
 size_t SafePlanEngine::NumShardUnits() const {
@@ -836,12 +820,10 @@ Result<double> SafePlanEngine::FinishAdvance(Timestamp t) {
   shard_status_.clear();
   // Extends whatever the shards did not cover (e.g. a root seq node's
   // witness table) and combines: the warmed child values are memo hits, so
-  // the result is bit-identical to a single-threaded AdvanceTo(t).
+  // the result is bit-identical to an unsharded extend-and-combine.
   LAHAR_RETURN_NOT_OK(root_->ExtendTo(t));
   return root_->Prob(t, t);
 }
-
-size_t SafePlanEngine::StepCost() const { return root_->StepCost(); }
 
 size_t SafePlanEngine::UnitCost(size_t unit) const {
   return root_->UnitCostOf(unit);

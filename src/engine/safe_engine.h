@@ -11,9 +11,12 @@
 //                 witness in [ts, tf] (T_w); q' must hold in [T_p, T_w - 1].
 //   pi_-x(P)    — independent-project: 1 - prod over groundings of x.
 //
-// All tables are evaluated lazily and memoized. For *serving* (one
-// AdvanceTo(t) per tick over an unbounded stream) the evaluator keeps
-// per-tick cost and memory flat instead of growing with the horizon:
+// All tables are evaluated lazily and memoized. The engine is driven one
+// tick at a time through the shard protocol below, by SafeQuerySession
+// (engine/session.h) — for standing queries and for batch Lahar::Run
+// alike, which is that session run to the horizon. Over an unbounded
+// stream the evaluator keeps per-tick cost and memory flat instead of
+// growing with the horizon:
 //
 //  * seq nodes walk only the timesteps whose witness probability is
 //    nonzero (a sorted index of the w[u] != 0 positions), skipping the
@@ -55,35 +58,20 @@ class SafePlanEngine {
                                        const EventDatabase& db,
                                        const PlanOptions& options = {});
 
-  /// mu(q@t) for t = 1..horizon (index 0 unused). Lazy tables mean the cost
-  /// concentrates in the reg rows actually touched.
-  Result<std::vector<double>> Run();
-
   /// P[q satisfied at some t in [ts, tf]] from the plan root. Requires a
   /// well-formed 1-based interval: ts >= 1 and ts <= tf (InvalidArgument
   /// otherwise — an empty or negative interval is a caller bug, not a
   /// zero-probability event).
   Result<double> IntervalProb(Timestamp ts, Timestamp tf);
 
-  /// Extends the lazy evaluation structures to cover timesteps up to `t`
-  /// after the database grew: reg-leaf rows and seq witness tables gain one
-  /// column per appended timestep instead of being recomputed — the
-  /// incremental mode behind SafeQuerySession (engine/session.h). Run()
-  /// calls this implicitly, so batch results always cover the live horizon.
-  Status ExtendTo(Timestamp t);
-
-  /// Incremental per-tick evaluation: extends the tables to `t` and returns
-  /// mu(q@t), bit-identical to probs[t] of a batch Run() over the same
-  /// data (the tables extend monotonically in tf, so the arithmetic is the
-  /// same either way).
-  Result<double> AdvanceTo(Timestamp t);
-
   // --- sharded serving protocol (SafeQuerySession) -----------------------
   // Independent grounding groups — the children of a projection node, which
   // touch disjoint streams by the safety precondition — are exposed as
-  // shard units. Per tick: PrepareShard once, ShardAdvance over disjoint
+  // shard units. Per tick t: PrepareShard once, ShardAdvance over disjoint
   // unit ranges (any threads, database quiescent), then FinishAdvance
-  // single-threaded; the combined answer is bit-identical to AdvanceTo(t).
+  // single-threaded. Reg-leaf rows and seq witness tables gain one column
+  // per tick (they grow monotonically in tf), and the combined answer does
+  // not depend on how the units were split.
 
   /// Number of independently advanceable units (>= 1).
   size_t NumShardUnits() const;
@@ -101,12 +89,9 @@ class SafePlanEngine {
   /// the shards did not cover, and returns mu(q@t).
   Result<double> FinishAdvance(Timestamp t);
 
-  /// Relative per-tick cost estimate (runtime shard balancing): reflects
-  /// live rows, witness density, and grounding fan-out, not just leaf
-  /// count.
-  size_t StepCost() const;
-
-  /// Per-unit cost estimate (a unit is one grounding subtree).
+  /// Per-unit cost estimate (a unit is one grounding subtree) for runtime
+  /// shard balancing: reflects live rows, witness density, and grounding
+  /// fan-out, not just leaf count.
   size_t UnitCost(size_t unit) const;
 
   /// Memo/row-cache counters aggregated over the whole evaluator tree

@@ -4,7 +4,6 @@
 #include <unordered_map>
 
 #include "analysis/bindings.h"
-#include "analysis/classify.h"
 
 namespace lahar {
 
@@ -13,12 +12,18 @@ size_t HoeffdingSamples(double epsilon, double delta) {
       std::ceil(std::log(2.0 / delta) / (2.0 * epsilon * epsilon)));
 }
 
-Result<SamplingEngine> SamplingEngine::Create(QueryPtr q,
+Result<SamplingEngine> SamplingEngine::Create(const PreparedQuery& prepared,
                                               const EventDatabase& db,
                                               const SamplingOptions& options) {
-  if (q == nullptr) return Status::InvalidArgument("null query");
+  if (prepared.ast == nullptr) return Status::InvalidArgument("null query");
+  if (!std::isfinite(options.epsilon) || !(options.epsilon > 0)) {
+    return Status::InvalidArgument("sampling epsilon must be finite and > 0");
+  }
+  if (!(options.delta > 0 && options.delta < 1)) {
+    return Status::InvalidArgument("sampling delta must lie in (0, 1)");
+  }
   SamplingEngine engine;
-  engine.query_ = q;
+  engine.query_ = prepared.ast;
   engine.db_ = &db;
   engine.horizon_ = db.horizon();
   engine.num_samples_ = options.num_samples > 0
@@ -29,57 +34,51 @@ Result<SamplingEngine> SamplingEngine::Create(QueryPtr q,
   engine.sample_status_.assign(engine.num_samples_, Status::OK());
 
   // Try the incremental NFA path: every grounding must be regular.
-  auto nq = Normalize(*q);
-  if (nq.ok()) {
-    Classification cls = Classify(*nq, db);
-    if (cls.query_class == QueryClass::kRegular ||
-        cls.query_class == QueryClass::kExtendedRegular) {
-      std::vector<Binding> bindings =
-          EnumerateBindings(*nq, db, nq->SharedVars());
-      std::unordered_map<StreamId, size_t> slot_of_stream;
-      std::vector<std::vector<size_t>> chain_slots;
-      bool ok = true;
-      for (const Binding& b : bindings) {
-        NormalizedQuery grounded = nq->Substitute(b);
-        auto nfa = QueryNfa::Build(grounded);
-        auto table = SymbolTable::Build(grounded, db);
-        if (!nfa.ok() || !table.ok()) {
-          ok = false;
-          break;
-        }
-        GroundedChain chain;
-        chain.nfa = std::make_shared<const QueryNfa>(std::move(*nfa));
-        chain.symbols = std::make_shared<const SymbolTable>(std::move(*table));
-        std::vector<size_t> slots;
-        for (StreamId s : chain.symbols->participating()) {
-          auto [it, inserted] =
-              slot_of_stream.emplace(s, slot_of_stream.size());
-          slots.push_back(it->second);
-        }
-        chain_slots.push_back(std::move(slots));
-        engine.chains_.push_back(std::move(chain));
+  const QueryClass cls = prepared.classification.query_class;
+  if (cls == QueryClass::kRegular || cls == QueryClass::kExtendedRegular) {
+    const NormalizedQuery& nq = prepared.normalized;
+    std::vector<Binding> bindings = EnumerateBindings(nq, db, nq.SharedVars());
+    std::unordered_map<StreamId, size_t> slot_of_stream;
+    std::vector<std::vector<size_t>> chain_slots;
+    bool ok = true;
+    for (const Binding& b : bindings) {
+      NormalizedQuery grounded = nq.Substitute(b);
+      auto nfa = QueryNfa::Build(grounded);
+      auto table = SymbolTable::Build(grounded, db);
+      if (!nfa.ok() || !table.ok()) {
+        ok = false;
+        break;
       }
-      if (ok) {
-        engine.slot_streams_.resize(slot_of_stream.size());
-        for (const auto& [sid, slot] : slot_of_stream) {
-          engine.slot_streams_[slot] = sid;
-        }
-        engine.chain_slots_ = std::move(chain_slots);
-        for (GroundedChain& chain : engine.chains_) {
-          chain.states.assign(engine.num_samples_,
-                              chain.nfa->InitialStates());
-        }
-        engine.values_.assign(
-            engine.num_samples_ * std::max<size_t>(1, slot_of_stream.size()),
-            kBottom);
-        Rng seeder(engine.seed_);
-        for (size_t i = 0; i < engine.num_samples_; ++i) {
-          engine.sample_rngs_.push_back(seeder.Split());
-        }
-        return engine;
+      GroundedChain chain;
+      chain.nfa = std::make_shared<const QueryNfa>(std::move(*nfa));
+      chain.symbols = std::make_shared<const SymbolTable>(std::move(*table));
+      std::vector<size_t> slots;
+      for (StreamId s : chain.symbols->participating()) {
+        auto [it, inserted] = slot_of_stream.emplace(s, slot_of_stream.size());
+        slots.push_back(it->second);
       }
-      engine.chains_.clear();
+      chain_slots.push_back(std::move(slots));
+      engine.chains_.push_back(std::move(chain));
     }
+    if (ok) {
+      engine.slot_streams_.resize(slot_of_stream.size());
+      for (const auto& [sid, slot] : slot_of_stream) {
+        engine.slot_streams_[slot] = sid;
+      }
+      engine.chain_slots_ = std::move(chain_slots);
+      for (GroundedChain& chain : engine.chains_) {
+        chain.states.assign(engine.num_samples_, chain.nfa->InitialStates());
+      }
+      engine.values_.assign(
+          engine.num_samples_ * std::max<size_t>(1, slot_of_stream.size()),
+          kBottom);
+      Rng seeder(engine.seed_);
+      for (size_t i = 0; i < engine.num_samples_; ++i) {
+        engine.sample_rngs_.push_back(seeder.Split());
+      }
+      return engine;
+    }
+    engine.chains_.clear();
   }
   // General path: batch per-world reference evaluation in Run(), per-tick
   // world-prefix extension in Step(). Seeded identically to the NFA path so
@@ -240,6 +239,10 @@ Result<std::vector<double>> SamplingEngine::Run() {
     }
   }
   for (double& p : probs) p /= static_cast<double>(num_samples_);
+  // Later Steps extend fresh per-sample prefixes from each sample's own
+  // generator, so every tick past the horizon is still an (eps, delta)
+  // estimate.
+  t_ = horizon_;
   return probs;
 }
 

@@ -4,21 +4,26 @@
 // of Prop. 3.20: n = ceil(ln(2/delta) / (2 epsilon^2)) samples give
 // P[|estimate - truth| <= epsilon] >= 1 - delta at each timestep (Hoeffding).
 //
-// Two execution paths:
+// Two execution paths, picked from the PreparedQuery's classification:
 //  * Queries whose groundings are regular run n parallel NFAs over sampled
 //    symbol streams, incrementally per timestep (the paper's "n copies of
 //    the query" with bitvector-style batched state).
-//  * Everything else (safe and unsafe queries) samples whole worlds and
+//  * Everything else (safe and unsafe queries) samples possible worlds and
 //    invokes the reference evaluator per world — slower, but fully general.
+//
+// The engine is served through SamplingSession (engine/session.h), which
+// Lahar::Run also drives. Run() below is the one batch loop kept beside a
+// session's Advance(): on the general path it draws each world whole, in
+// O(T) per sample, where per-tick stepping re-evaluates a growing prefix.
 #ifndef LAHAR_ENGINE_SAMPLING_ENGINE_H_
 #define LAHAR_ENGINE_SAMPLING_ENGINE_H_
 
 #include <memory>
 #include <vector>
 
+#include "analysis/prepared.h"
 #include "automaton/nfa.h"
 #include "engine/reference.h"
-#include "query/normalize.h"
 
 namespace lahar {
 
@@ -37,12 +42,18 @@ size_t HoeffdingSamples(double epsilon, double delta);
 /// \brief Monte-Carlo engine over possible worlds.
 class SamplingEngine {
  public:
-  /// Builds the engine; picks the NFA path when every grounding of the
-  /// query is regular, the reference-evaluator path otherwise.
-  static Result<SamplingEngine> Create(QueryPtr q, const EventDatabase& db,
+  /// Builds the engine; picks the NFA path when the prepared query is
+  /// Regular or Extended Regular (every grounding is then regular), the
+  /// reference-evaluator path otherwise. Fails with InvalidArgument unless
+  /// epsilon is finite and > 0 and 0 < delta < 1.
+  static Result<SamplingEngine> Create(const PreparedQuery& prepared,
+                                       const EventDatabase& db,
                                        const SamplingOptions& options = {});
 
-  /// Estimated mu(q@t) for t = 1..horizon (index 0 unused).
+  /// Estimated mu(q@t) for t = 1..horizon (index 0 unused), from a fresh
+  /// engine. The NFA path steps; the general path samples whole worlds
+  /// (a different draw order than Step(), so the estimates differ from a
+  /// stepped run's) and leaves time() at the horizon.
   Result<std::vector<double>> Run();
 
   /// Advances one timestep and returns the estimate at the new time.

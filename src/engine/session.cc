@@ -36,6 +36,15 @@ Result<double> QuerySession::Advance() {
   return CommitAdvance();
 }
 
+Result<std::vector<double>> QuerySession::RunToHorizon(Timestamp horizon) {
+  std::vector<double> probs(horizon + 1, 0.0);
+  while (time() < horizon) {
+    LAHAR_ASSIGN_OR_RETURN(double p, Advance());
+    probs[time()] = p;
+  }
+  return probs;
+}
+
 size_t QuerySession::StepCost() const {
   size_t total = 0;
   for (size_t i = 0; i < num_units(); ++i) total += UnitCost(i);
@@ -52,12 +61,12 @@ namespace {
 
 // Incremental serving of a Safe query: each tick extends the plan's
 // bounded reg-leaf rows and seq witness tables by one column (they grow
-// monotonically in tf, Section 3.3) instead of recomputing Run() over the
-// whole horizon. Units are the plan's independent grounding groups (the
+// monotonically in tf, Section 3.3) instead of recomputing the whole
+// horizon. Units are the plan's independent grounding groups (the
 // children of its projection node, disjoint streams by the safety
 // precondition): AdvanceShard extends each group's tables and warms its
 // diagonal memo entry, and CommitAdvance combines the warmed values —
-// bit-identical to a single-threaded AdvanceTo.
+// bit-identical however the units were split.
 class SafeQuerySession : public QuerySession {
  public:
   explicit SafeQuerySession(SafePlanEngine engine)
@@ -132,6 +141,16 @@ class SamplingSession : public QuerySession {
     engine_.StepSampleRange(begin, end);
   }
 
+  // A fresh general-path sampler draws each world whole: O(T) per sample
+  // instead of re-evaluating a growing prefix every tick.
+  Result<std::vector<double>> RunToHorizon(Timestamp horizon) override {
+    if (time() == 0 && !engine_.incremental() &&
+        horizon == engine_.horizon()) {
+      return engine_.Run();
+    }
+    return QuerySession::RunToHorizon(horizon);
+  }
+
   Result<double> CommitAdvance() override {
     // Commit unconditionally so time() stays in step with the executor's
     // tick even when the prepare failed; the error wins over the estimate.
@@ -156,7 +175,7 @@ Result<std::unique_ptr<QuerySession>> CreateQuerySession(
   auto sample = [&]() -> Result<std::unique_ptr<QuerySession>> {
     LAHAR_ASSIGN_OR_RETURN(
         SamplingEngine engine,
-        SamplingEngine::Create(prepared.ast, *db, options.sampling));
+        SamplingEngine::Create(prepared, *db, options.sampling));
     return std::unique_ptr<QuerySession>(
         new SamplingSession(std::move(engine), cls));
   };

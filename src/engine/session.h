@@ -3,7 +3,8 @@
 // the streaming kernels of Theorems 3.3/3.7, the safe-plan algebra of
 // Section 3.3, and the Monte-Carlo sampler of Section 3.5 — implements the
 // same incremental protocol, so the runtime (src/runtime/) multiplexes all
-// four query classes through a single serving path:
+// four query classes through a single serving path, and batch evaluation
+// (Lahar::Run) is the same session run to the horizon (RunToHorizon):
 //
 //   class            session              per-tick cost   answers
 //   Regular          StreamingSession     O(1)            exact
@@ -106,6 +107,12 @@ class QuerySession {
   /// the new time. Equivalent to AdvanceShard(0, num_units()) followed by
   /// CommitAdvance().
   virtual Result<double> Advance();
+
+  /// Advances to `horizon` and returns P[q@t] for t in (time(), horizon]
+  /// (index 0 and already-consumed ticks stay 0). This is batch evaluation:
+  /// Lahar::Run is a fresh session run to the database horizon. Default:
+  /// the Advance() loop.
+  virtual Result<std::vector<double>> RunToHorizon(Timestamp horizon);
 
   /// The last consumed timestep (0 before the first Advance).
   virtual Timestamp time() const = 0;

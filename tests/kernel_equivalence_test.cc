@@ -191,8 +191,8 @@ TEST(KernelEquivalenceTest, ExtendedEngineBatchedVsMap) {
 }
 
 // The extended engine always packs its chains into the SoA arena; the
-// reference is one standalone RegularEngine per binding, whose chain runs
-// on its own heap storage.
+// reference is one standalone RegularChain per binding, running on its own
+// heap storage.
 TEST(KernelEquivalenceTest, ExtendedEngineWithoutArenaStillIdentical) {
   EventDatabase db;
   AddMarkovStream(&db, "At", "A", {"room", "hall"}, 4, 0.6);
@@ -204,7 +204,7 @@ TEST(KernelEquivalenceTest, ExtendedEngineWithoutArenaStillIdentical) {
   auto batched = ExtendedRegularEngine::Create(*nq, db);
   ASSERT_OK(batched.status());
   EXPECT_GT(batched->arena_size(), 0u);
-  std::vector<RegularEngine> standalone;
+  std::vector<RegularChain> standalone;
   for (size_t i = 0; i < batched->num_chains(); ++i) {
     ASSERT_EQ(batched->binding(i).size(), 1u);
     const std::string who =
@@ -213,15 +213,15 @@ TEST(KernelEquivalenceTest, ExtendedEngineWithoutArenaStillIdentical) {
                                        "At(" + who + ", l2 : l2 = 'hall')");
     auto gnq = Normalize(*grounded);
     ASSERT_OK(gnq.status());
-    auto engine = RegularEngine::Create(*gnq, db);
-    ASSERT_OK(engine.status());
-    standalone.push_back(std::move(*engine));
+    auto chain = RegularChain::Create(*gnq, db);
+    ASSERT_OK(chain.status());
+    standalone.push_back(std::move(*chain));
   }
   ASSERT_EQ(standalone.size(), 2u);
   for (Timestamp t = 1; t <= db.horizon(); ++t) {
     batched->Step();
     for (size_t i = 0; i < standalone.size(); ++i) {
-      EXPECT_EQ(batched->chain_probs()[i], standalone[i].chain().Step())
+      EXPECT_EQ(batched->chain_probs()[i], standalone[i].Step())
           << "binding " << i << " t=" << t;
     }
   }

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "engine/lahar.h"
 #include "engine/reference.h"
+#include "engine/session.h"
 #include "test_util.h"
 
 namespace lahar {
@@ -85,6 +89,39 @@ TEST(LaharTest, SafeQueryOutsideAlgebraFallsBackToSampling) {
   ASSERT_OK(answer.status());
   EXPECT_EQ(answer->engine, EngineKind::kSampling);
   EXPECT_FALSE(answer->exact);
+}
+
+TEST(LaharTest, StrictRejectionsMatchOpenSession) {
+  // Batch Run is the routed session run to the horizon, so with sampling
+  // fallback disabled it rejects exactly as OpenSession does: same code,
+  // same kQueryClassPayload — for an Unsafe query and for a Safe query
+  // whose plan the algebra refuses (Markovian witness stream).
+  EventDatabase db;
+  AddIndependentStream(&db, "R", "k1", {{{"u", 0.5}}, {}, {}});
+  AddIndependentStream(&db, "S", "k1", {{}, {{"v", 0.5}}, {}});
+  lahar::testing::AddMarkovStream(&db, "T", "a", {"w"}, 3, 0.9);
+  LaharOptions options;
+  options.allow_sampling_fallback = false;
+  Lahar lahar(&db, options);
+  const std::pair<const char*, const char*> cases[] = {
+      {"(R(x, u1); S(y, u2)) WHERE u1 = u2", "Unsafe"},
+      {"R(x, u1); S(x, u2); T('a', y)", "Safe"},
+  };
+  for (const auto& [text, cls] : cases) {
+    auto answer = lahar.Run(text);
+    auto session = lahar.OpenSession(text);
+    ASSERT_FALSE(answer.ok()) << text;
+    ASSERT_FALSE(session.ok()) << text;
+    EXPECT_EQ(answer.status().code(), session.status().code()) << text;
+    const std::string* run_cls =
+        answer.status().GetPayload(kQueryClassPayload);
+    const std::string* session_cls =
+        session.status().GetPayload(kQueryClassPayload);
+    ASSERT_NE(run_cls, nullptr) << text;
+    ASSERT_NE(session_cls, nullptr) << text;
+    EXPECT_EQ(*run_cls, cls);
+    EXPECT_EQ(*session_cls, cls);
+  }
 }
 
 TEST(LaharTest, ParseAndValidationErrorsSurface) {

@@ -63,7 +63,7 @@ EventDatabase BuildArchive(Timestamp horizon) {
 RuntimeOptions ServingRuntimeOptions() {
   RuntimeOptions options;
   // Safe queries need the distinct-keys assumption to compile to plans,
-  // exactly as lahar_cli --serve and lahar_server configure it.
+  // exactly as lahar_cli --serve (with or without --port) configures it.
   options.session.plan.assume_distinct_keys = true;
   return options;
 }

@@ -21,6 +21,7 @@ namespace {
 
 using ::lahar::testing::AddRelation;
 using ::lahar::testing::MustParse;
+using ::lahar::testing::RunSafePlan;
 
 // Builds a random single-value-attribute stream over `domain` names.
 void AddRandomStream(EventDatabase* db, const std::string& type,
@@ -148,7 +149,7 @@ TEST_P(SafePropertyTest, MatchesBruteForce) {
   ASSERT_OK(nq.status());
   auto engine = SafePlanEngine::Create(*nq, db);
   ASSERT_OK(engine.status());
-  auto got = engine->Run();
+  auto got = RunSafePlan(&*engine, db.horizon());
   ASSERT_OK(got.status());
   auto want = BruteForceProbabilities(*q, db);
   ASSERT_OK(want.status());
@@ -212,17 +213,16 @@ TEST_P(AxiomsPropertyTest, SamplingConvergesToExact) {
   EventDatabase db;
   Rng rng(seed);
   AddRandomStream(&db, "At", "Joe", {"a", "b"}, 4, seed % 2 == 0, &rng);
-  QueryPtr q =
-      MustParse(&db, "At('Joe', l1 : l1 = 'a'); At('Joe', l2 : l2 = 'b')");
-  auto nq = Normalize(*q);
-  ASSERT_OK(nq.status());
-  auto exact_engine = ExtendedRegularEngine::Create(*nq, db);
+  const char* kQuery = "At('Joe', l1 : l1 = 'a'); At('Joe', l2 : l2 = 'b')";
+  auto prepared = PrepareQuery(kQuery, &db);
+  ASSERT_OK(prepared.status());
+  auto exact_engine = ExtendedRegularEngine::Create(prepared->normalized, db);
   ASSERT_OK(exact_engine.status());
   std::vector<double> exact = exact_engine->Run();
   SamplingOptions options;
   options.num_samples = 30000;
   options.seed = seed * 31 + 7;
-  auto sampler = SamplingEngine::Create(q, db, options);
+  auto sampler = SamplingEngine::Create(*prepared, db, options);
   ASSERT_OK(sampler.status());
   auto approx = sampler->Run();
   ASSERT_OK(approx.status());

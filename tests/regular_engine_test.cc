@@ -29,9 +29,10 @@ void ExpectMatchesBruteForce(EventDatabase* db, const std::string& text,
   auto nq = Normalize(*q);
   ASSERT_OK(nq.status());
   ASSERT_EQ(Classify(*nq, *db).query_class, QueryClass::kRegular) << text;
-  auto engine = RegularEngine::Create(*nq, *db);
-  ASSERT_OK(engine.status());
-  std::vector<double> got = engine->Run();
+  auto chain = RegularChain::Create(*nq, *db);
+  ASSERT_OK(chain.status());
+  std::vector<double> got(chain->horizon() + 1, 0.0);
+  for (Timestamp t = 1; t <= chain->horizon(); ++t) got[t] = chain->Step();
   auto want = BruteForceProbabilities(*q, *db);
   ASSERT_OK(want.status());
   ASSERT_EQ(got.size(), want->size());
@@ -133,10 +134,11 @@ TEST(RegularEngineTest, MarkovCorrelationsChangeTheAnswer) {
       &db, "At('Joe', l1 : l1 = 'room'); At('Joe', l2 : l2 = 'room')");
   auto nq = Normalize(*q);
   ASSERT_OK(nq.status());
-  auto engine = RegularEngine::Create(*nq, db);
-  ASSERT_OK(engine.status());
-  std::vector<double> probs = engine->Run();
-  EXPECT_NEAR(probs[2], 0.5 * 0.9, 1e-12);  // P[room@1] * P[room@2 | room@1]
+  auto chain = RegularChain::Create(*nq, db);
+  ASSERT_OK(chain.status());
+  chain->Step();
+  // P[room@1] * P[room@2 | room@1]
+  EXPECT_NEAR(chain->Step(), 0.5 * 0.9, 1e-12);
 }
 
 TEST(RegularEngineTest, SimultaneousEventsOnOneStream) {
@@ -154,12 +156,12 @@ TEST(RegularEngineTest, StepBeyondHorizonHoldsSteady) {
   QueryPtr q = MustParse(&db, "R('k', x : x = 'a')");
   auto nq = Normalize(*q);
   ASSERT_OK(nq.status());
-  auto engine = RegularEngine::Create(*nq, db);
-  ASSERT_OK(engine.status());
-  EXPECT_NEAR(engine->chain().Step(), 1.0, 1e-12);  // t=1: accept
+  auto chain = RegularChain::Create(*nq, db);
+  ASSERT_OK(chain.status());
+  EXPECT_NEAR(chain->Step(), 1.0, 1e-12);  // t=1: accept
   // Past the horizon the stream is silent; the match completed at t=1, so
   // q@t for t>1 is false (no new accepting event).
-  EXPECT_NEAR(engine->chain().Step(), 0.0, 1e-12);
+  EXPECT_NEAR(chain->Step(), 0.0, 1e-12);
 }
 
 TEST(RegularEngineTest, AcceptTrackingComputesIntervalProbability) {

@@ -14,6 +14,7 @@ using ::lahar::testing::AddIndependentStream;
 using ::lahar::testing::AddMarkovStream;
 using ::lahar::testing::AddRelation;
 using ::lahar::testing::MustParse;
+using ::lahar::testing::RunSafePlan;
 
 void ExpectMatchesBruteForce(EventDatabase* db, const std::string& text,
                              double tol = 1e-9) {
@@ -24,7 +25,7 @@ void ExpectMatchesBruteForce(EventDatabase* db, const std::string& text,
   ASSERT_OK(nq.status());
   auto engine = SafePlanEngine::Create(*nq, *db);
   ASSERT_OK(engine.status());
-  auto got = engine->Run();
+  auto got = RunSafePlan(&*engine, db->horizon());
   ASSERT_OK(got.status());
   auto want = BruteForceProbabilities(*q, *db);
   ASSERT_OK(want.status());
@@ -166,7 +167,7 @@ TEST(SafeEngineTest, PrecursorConsumesTheMatch) {
   ASSERT_OK(nq.status());
   auto engine = SafePlanEngine::Create(*nq, db);
   ASSERT_OK(engine.status());
-  auto probs = engine->Run();
+  auto probs = RunSafePlan(&*engine, db.horizon());
   ASSERT_OK(probs.status());
   // Prefix completes at t=2. q@3 iff T@3 (0.5); q@4 iff no T@3 (0.5).
   EXPECT_NEAR((*probs)[3], 0.5, 1e-12);
@@ -282,8 +283,8 @@ TEST(SafeEngineTest, CertainWitnessShortCircuitsExactly) {
   auto dense = SafePlanEngine::Create(*nq, db, reference);
   ASSERT_OK(sparse.status());
   ASSERT_OK(dense.status());
-  auto got = sparse->Run();
-  auto want = dense->Run();
+  auto got = RunSafePlan(&*sparse, db.horizon());
+  auto want = RunSafePlan(&*dense, db.horizon());
   ASSERT_OK(got.status());
   ASSERT_OK(want.status());
   ASSERT_EQ(got->size(), want->size());
@@ -309,7 +310,7 @@ TEST(SafeEngineTest, AllBottomPrefixAtPrecursorBoundary) {
   ASSERT_OK(nq.status());
   auto engine = SafePlanEngine::Create(*nq, db);
   ASSERT_OK(engine.status());
-  auto probs = engine->Run();
+  auto probs = RunSafePlan(&*engine, db.horizon());
   ASSERT_OK(probs.status());
   // The R;S prefix never completes inside the horizon, so every tick is a
   // bitwise zero even while witnesses fire.
@@ -321,8 +322,8 @@ TEST(SafeEngineTest, AllBottomPrefixAtPrecursorBoundary) {
 
 TEST(SafeEngineTest, IncrementalMatchesReferenceOnIntervalGrid) {
   // The acceptance contract for the sparse kernels: EXPECT_EQ (bitwise, not
-  // EXPECT_NEAR) against the dense Eq. (3) loops on Run() and on the full
-  // (ts, tf) interval grid.
+  // EXPECT_NEAR) against the dense Eq. (3) loops on every tick and on the
+  // full (ts, tf) interval grid.
   EventDatabase db;
   for (const char* k : {"k1", "k2"}) {
     AddIndependentStream(
@@ -343,8 +344,8 @@ TEST(SafeEngineTest, IncrementalMatchesReferenceOnIntervalGrid) {
   auto dense = SafePlanEngine::Create(*nq, db, reference);
   ASSERT_OK(sparse.status());
   ASSERT_OK(dense.status());
-  auto got = sparse->Run();
-  auto want = dense->Run();
+  auto got = RunSafePlan(&*sparse, db.horizon());
+  auto want = RunSafePlan(&*dense, db.horizon());
   ASSERT_OK(got.status());
   ASSERT_OK(want.status());
   for (size_t t = 1; t < got->size(); ++t) {
@@ -391,8 +392,8 @@ TEST(SafeEngineTest, TinyCapacitiesEvictButNeverChangeAnswers) {
   auto roomy = SafePlanEngine::Create(*nq, db);
   ASSERT_OK(capped.status());
   ASSERT_OK(roomy.status());
-  auto got = capped->Run();
-  auto want = roomy->Run();
+  auto got = RunSafePlan(&*capped, db.horizon());
+  auto want = RunSafePlan(&*roomy, db.horizon());
   ASSERT_OK(got.status());
   ASSERT_OK(want.status());
   for (size_t t = 1; t < got->size(); ++t) {
@@ -417,7 +418,7 @@ TEST(SafeEngineTest, DistinctKeysSemanticsExcludesOwnStream) {
   options.assume_distinct_keys = true;
   auto engine = SafePlanEngine::Create(*nq, db, options);
   ASSERT_OK(engine.status());
-  auto probs = engine->Run();
+  auto probs = RunSafePlan(&*engine, db.horizon());
   ASSERT_OK(probs.status());
   // Joe's prefix completes at t=2; Sue provides the witness at t=3 w.p. 0.5.
   // (Sue's own prefix never completes: her stream has one event only.)

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "engine/reference.h"
 #include "engine/sampling_engine.h"
 #include "test_util.h"
@@ -9,7 +12,12 @@ namespace {
 
 using ::lahar::testing::AddIndependentStream;
 using ::lahar::testing::AddMarkovStream;
-using ::lahar::testing::MustParse;
+
+PreparedQuery MustPrepare(EventDatabase* db, const std::string& text) {
+  auto prepared = PrepareQuery(text, db);
+  EXPECT_TRUE(prepared.ok()) << prepared.status().ToString();
+  return prepared.ok() ? std::move(*prepared) : PreparedQuery{};
+}
 
 TEST(SamplingTest, HoeffdingSampleCounts) {
   // n = ln(2/delta) / (2 eps^2): defaults give ~150.
@@ -21,7 +29,8 @@ TEST(SamplingTest, HoeffdingSampleCounts) {
 TEST(SamplingTest, RegularQueryUsesIncrementalPath) {
   EventDatabase db;
   AddIndependentStream(&db, "R", "k", {{{"a", 0.5}}, {{"b", 0.5}}});
-  QueryPtr q = MustParse(&db, "R('k', x : x = 'a'); R('k', y : y = 'b')");
+  PreparedQuery q =
+      MustPrepare(&db, "R('k', x : x = 'a'); R('k', y : y = 'b')");
   SamplingOptions opt;
   opt.num_samples = 40000;
   auto engine = SamplingEngine::Create(q, db, opt);
@@ -29,7 +38,7 @@ TEST(SamplingTest, RegularQueryUsesIncrementalPath) {
   EXPECT_TRUE(engine->incremental());
   auto probs = engine->Run();
   ASSERT_OK(probs.status());
-  auto want = BruteForceProbabilities(*q, db);
+  auto want = BruteForceProbabilities(*q.ast, db);
   ASSERT_OK(want.status());
   EXPECT_NEAR((*probs)[2], (*want)[2], 0.02);
 }
@@ -37,8 +46,8 @@ TEST(SamplingTest, RegularQueryUsesIncrementalPath) {
 TEST(SamplingTest, MarkovianSamplingMatchesExact) {
   EventDatabase db;
   AddMarkovStream(&db, "At", "Joe", {"room", "hall"}, 3, 0.85);
-  QueryPtr q =
-      MustParse(&db, "At('Joe', l1 : l1 = 'room'); At('Joe', l2 : l2 = 'room')");
+  PreparedQuery q = MustPrepare(
+      &db, "At('Joe', l1 : l1 = 'room'); At('Joe', l2 : l2 = 'room')");
   SamplingOptions opt;
   opt.num_samples = 40000;
   auto engine = SamplingEngine::Create(q, db, opt);
@@ -53,7 +62,8 @@ TEST(SamplingTest, ExtendedQueryAcrossPeople) {
   EventDatabase db;
   AddIndependentStream(&db, "At", "Joe", {{{"a", 0.6}}, {{"b", 0.5}}});
   AddIndependentStream(&db, "At", "Sue", {{{"a", 0.4}}, {{"b", 0.7}}});
-  QueryPtr q = MustParse(&db, "At(x, l1 : l1 = 'a'); At(x, l2 : l2 = 'b')");
+  PreparedQuery q =
+      MustPrepare(&db, "At(x, l1 : l1 = 'a'); At(x, l2 : l2 = 'b')");
   SamplingOptions opt;
   opt.num_samples = 40000;
   auto engine = SamplingEngine::Create(q, db, opt);
@@ -61,7 +71,7 @@ TEST(SamplingTest, ExtendedQueryAcrossPeople) {
   EXPECT_TRUE(engine->incremental());
   auto probs = engine->Run();
   ASSERT_OK(probs.status());
-  auto want = BruteForceProbabilities(*q, db);
+  auto want = BruteForceProbabilities(*q.ast, db);
   ASSERT_OK(want.status());
   EXPECT_NEAR((*probs)[2], (*want)[2], 0.02);
 }
@@ -71,7 +81,7 @@ TEST(SamplingTest, UnsafeQueryFallsBackToGeneralPath) {
   EventDatabase db;
   AddIndependentStream(&db, "R", "k1", {{{"a", 0.5}, {"b", 0.3}}, {}});
   AddIndependentStream(&db, "S", "k2", {{}, {{"a", 0.6}, {"b", 0.2}}});
-  QueryPtr q = MustParse(&db, "(R(p1, x); S(p2, y)) WHERE x = y");
+  PreparedQuery q = MustPrepare(&db, "(R(p1, x); S(p2, y)) WHERE x = y");
   SamplingOptions opt;
   opt.num_samples = 20000;
   auto engine = SamplingEngine::Create(q, db, opt);
@@ -79,7 +89,7 @@ TEST(SamplingTest, UnsafeQueryFallsBackToGeneralPath) {
   EXPECT_FALSE(engine->incremental());
   auto probs = engine->Run();
   ASSERT_OK(probs.status());
-  auto want = BruteForceProbabilities(*q, db);
+  auto want = BruteForceProbabilities(*q.ast, db);
   ASSERT_OK(want.status());
   for (Timestamp t = 1; t <= 2; ++t) {
     EXPECT_NEAR((*probs)[t], (*want)[t], 0.02) << t;
@@ -89,7 +99,7 @@ TEST(SamplingTest, UnsafeQueryFallsBackToGeneralPath) {
 TEST(SamplingTest, DeterministicUnderSeed) {
   EventDatabase db;
   AddIndependentStream(&db, "R", "k", {{{"a", 0.5}}});
-  QueryPtr q = MustParse(&db, "R('k', x : x = 'a')");
+  PreparedQuery q = MustPrepare(&db, "R('k', x : x = 'a')");
   SamplingOptions opt;
   opt.num_samples = 100;
   opt.seed = 99;
@@ -110,13 +120,13 @@ TEST(SamplingTest, GeneralPathStepsIncrementally) {
   EventDatabase db;
   AddIndependentStream(&db, "R", "k1", {{{"a", 0.6}}, {{"a", 0.5}}});
   AddIndependentStream(&db, "S", "k2", {{{"a", 0.7}}, {{"a", 0.5}}});
-  QueryPtr q = MustParse(&db, "(R(p1, x); S(p2, y)) WHERE x = y");
+  PreparedQuery q = MustPrepare(&db, "(R(p1, x); S(p2, y)) WHERE x = y");
   SamplingOptions opt;
   opt.num_samples = 20000;
   auto engine = SamplingEngine::Create(q, db, opt);
   ASSERT_OK(engine.status());
   EXPECT_FALSE(engine->incremental());  // no NFA: world-prefix path
-  auto want = BruteForceProbabilities(*q, db);
+  auto want = BruteForceProbabilities(*q.ast, db);
   ASSERT_OK(want.status());
   for (Timestamp t = 1; t <= 2; ++t) {
     auto p = engine->Step();
@@ -124,6 +134,40 @@ TEST(SamplingTest, GeneralPathStepsIncrementally) {
     EXPECT_EQ(engine->time(), t);
     EXPECT_NEAR(*p, (*want)[t], 0.02) << t;
   }
+}
+
+TEST(SamplingTest, RejectsEpsilonOutsideTheHoeffdingDomain) {
+  // epsilon = 0 would make the Hoeffding count +inf, cast to size_t.
+  EventDatabase db;
+  AddIndependentStream(&db, "R", "k", {{{"a", 0.5}}});
+  PreparedQuery q = MustPrepare(&db, "R('k', x : x = 'a')");
+  for (double eps : {0.0, -0.1, std::numeric_limits<double>::infinity(),
+                     std::numeric_limits<double>::quiet_NaN()}) {
+    SamplingOptions opt;
+    opt.epsilon = eps;
+    auto engine = SamplingEngine::Create(q, db, opt);
+    EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument) << eps;
+  }
+}
+
+TEST(SamplingTest, RejectsDeltaOutsideTheOpenUnitInterval) {
+  // delta >= 2 would give zero samples and a 0/0 estimate; delta <= 0 an
+  // infinite count.
+  EventDatabase db;
+  AddIndependentStream(&db, "R", "k", {{{"a", 0.5}}});
+  PreparedQuery q = MustPrepare(&db, "R('k', x : x = 'a')");
+  for (double delta : {0.0, -0.5, 1.0, 2.0, 5.0,
+                       std::numeric_limits<double>::quiet_NaN()}) {
+    SamplingOptions opt;
+    opt.delta = delta;
+    auto engine = SamplingEngine::Create(q, db, opt);
+    EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument) << delta;
+  }
+  SamplingOptions opt;
+  opt.delta = 0.999;
+  auto engine = SamplingEngine::Create(q, db, opt);
+  ASSERT_OK(engine.status());
+  EXPECT_GT(engine->num_samples(), 0u);
 }
 
 }  // namespace

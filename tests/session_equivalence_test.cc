@@ -5,8 +5,11 @@
 //
 // For the exact engines (Regular, Extended Regular, Safe) "exactly" means
 // EXPECT_EQ on doubles — the incremental path must perform the same IEEE
-// operations in the same order as the batch path. Sampling sessions are
-// compared against brute-force enumeration within the estimator tolerance.
+// operations in the same order as the batch path. Batch Lahar::Run is
+// itself a session run to the horizon, so every exact test also compares
+// against an oracle batch answer from a path that shares no step code with
+// the session (IndependentBatch below). Sampling sessions are compared
+// against brute-force enumeration within the estimator tolerance.
 //
 // Both databases in each test are built by the same recipe code so their
 // contents are bit-identical; only the interleaving of appends and
@@ -56,6 +59,19 @@ void AppendStep(EventDatabase* db, StreamId id, const StepDist& step) {
   ASSERT_OK(db->AppendMarginal(id, dist));
 }
 
+// The batch answer from an evaluation path that shares no step code with
+// the sessions under test: Regular/Extended chains on the canonical-order
+// map path (no compiled kernel), Safe plans on the dense Eq. (3) loops.
+std::vector<double> IndependentBatch(EventDatabase* db,
+                                     const std::string& query) {
+  LaharOptions options;
+  options.chain.kernel.max_flat_states = 0;
+  options.plan.safe.incremental = false;
+  auto answer = Lahar(db, options).Run(query);
+  EXPECT_TRUE(answer.ok()) << answer.status().ToString();
+  return answer.ok() ? answer->probs : std::vector<double>{};
+}
+
 TEST(SessionEquivalence, RegularIndependentMatchesBatchBitwise) {
   const std::vector<StepDist> steps = {
       {{"a", 0.7}, {"b", 0.2}}, {{"b", 0.6}, {"a", 0.3}}, {{"a", 0.9}},
@@ -69,6 +85,8 @@ TEST(SessionEquivalence, RegularIndependentMatchesBatchBitwise) {
   Lahar lahar(&batch);
   auto answer = lahar.Run(query);
   ASSERT_OK(answer.status());
+  const std::vector<double> oracle = IndependentBatch(&batch, query);
+  ASSERT_EQ(oracle.size(), answer->probs.size());
   EXPECT_EQ(answer->engine, EngineKind::kRegular);
 
   EventDatabase live;
@@ -85,6 +103,7 @@ TEST(SessionEquivalence, RegularIndependentMatchesBatchBitwise) {
     ASSERT_OK(p.status());
     EXPECT_EQ((*session)->time(), t);
     EXPECT_EQ(*p, answer->probs[t]) << "t=" << t;
+    EXPECT_EQ(*p, oracle[t]) << "t=" << t;
   }
 }
 
@@ -121,6 +140,8 @@ TEST(SessionEquivalence, RegularMarkovMatchesBatchBitwise) {
   Lahar lahar(&batch);
   auto answer = lahar.Run(query);
   ASSERT_OK(answer.status());
+  const std::vector<double> oracle = IndependentBatch(&batch, query);
+  ASSERT_EQ(oracle.size(), answer->probs.size());
   EXPECT_EQ(answer->engine, EngineKind::kRegular);
 
   EventDatabase live;
@@ -137,6 +158,7 @@ TEST(SessionEquivalence, RegularMarkovMatchesBatchBitwise) {
     auto p = (*session)->Advance();
     ASSERT_OK(p.status());
     EXPECT_EQ(*p, answer->probs[t]) << "t=" << t;
+    EXPECT_EQ(*p, oracle[t]) << "t=" << t;
   }
 }
 
@@ -167,6 +189,8 @@ TEST(SessionEquivalence, ExtendedMatchesBatchBitwise) {
   Lahar lahar(&batch);
   auto answer = lahar.Run(query);
   ASSERT_OK(answer.status());
+  const std::vector<double> oracle = IndependentBatch(&batch, query);
+  ASSERT_EQ(oracle.size(), answer->probs.size());
   EXPECT_EQ(answer->engine, EngineKind::kExtendedRegular);
 
   EventDatabase live;
@@ -186,6 +210,7 @@ TEST(SessionEquivalence, ExtendedMatchesBatchBitwise) {
     auto p = (*session)->Advance();
     ASSERT_OK(p.status());
     EXPECT_EQ(*p, answer->probs[t]) << "t=" << t;
+    EXPECT_EQ(*p, oracle[t]) << "t=" << t;
   }
 }
 
@@ -222,6 +247,8 @@ TEST(SessionEquivalence, SurvivesMidStreamDomainGrowthBitwise) {
   Lahar lahar(&batch);
   auto answer = lahar.Run(query);
   ASSERT_OK(answer.status());
+  const std::vector<double> oracle = IndependentBatch(&batch, query);
+  ASSERT_EQ(oracle.size(), answer->probs.size());
 
   EventDatabase live;
   StreamId lid;
@@ -237,6 +264,7 @@ TEST(SessionEquivalence, SurvivesMidStreamDomainGrowthBitwise) {
     auto p = (*session)->Advance();
     ASSERT_OK(p.status());
     EXPECT_EQ(*p, answer->probs[++t]) << "t=" << t;
+    EXPECT_EQ(*p, oracle[t]) << "t=" << t;
   }
   EXPECT_EQ(streaming->engine().num_compiled(), 1u);
   grow(&live, lid);  // the alphabet guard trips on the next Advance
@@ -245,6 +273,7 @@ TEST(SessionEquivalence, SurvivesMidStreamDomainGrowthBitwise) {
     auto p = (*session)->Advance();
     ASSERT_OK(p.status());
     EXPECT_EQ(*p, answer->probs[++t]) << "t=" << t;
+    EXPECT_EQ(*p, oracle[t]) << "t=" << t;
   }
   // The growth really did force the kernel -> map fallback.
   EXPECT_EQ(streaming->engine().num_compiled(), 0u);
@@ -290,6 +319,8 @@ TEST(SessionEquivalence, SafePlanMatchesBatchBitwise) {
   Lahar lahar(&batch);
   auto answer = lahar.Run(query);
   ASSERT_OK(answer.status());
+  const std::vector<double> oracle = IndependentBatch(&batch, query);
+  ASSERT_EQ(oracle.size(), answer->probs.size());
   EXPECT_EQ(answer->engine, EngineKind::kSafePlan);
   EXPECT_TRUE(answer->exact);
 
@@ -311,6 +342,7 @@ TEST(SessionEquivalence, SafePlanMatchesBatchBitwise) {
     ASSERT_OK(p.status());
     EXPECT_EQ((*session)->time(), t);
     EXPECT_EQ(*p, answer->probs[t]) << "t=" << t;
+    EXPECT_EQ(*p, oracle[t]) << "t=" << t;
   }
 }
 
@@ -357,6 +389,8 @@ TEST(SessionEquivalence, SafePlanLongHorizonTightCapsMatchesBatchBitwise) {
   Lahar lahar(&batch);  // default capacities, batch Run
   auto answer = lahar.Run(query);
   ASSERT_OK(answer.status());
+  const std::vector<double> oracle = IndependentBatch(&batch, query);
+  ASSERT_EQ(oracle.size(), answer->probs.size());
   EXPECT_EQ(answer->engine, EngineKind::kSafePlan);
 
   EventDatabase live;
@@ -374,6 +408,7 @@ TEST(SessionEquivalence, SafePlanLongHorizonTightCapsMatchesBatchBitwise) {
     auto p = (*session)->Advance();
     ASSERT_OK(p.status());
     EXPECT_EQ(*p, answer->probs[t]) << "t=" << t;
+    EXPECT_EQ(*p, oracle[t]) << "t=" << t;
   }
   // The tiny caches really were exercised: the arena evicted and rebuilt
   // rows, and counters made it to the session surface.

@@ -54,6 +54,16 @@ TEST(StreamingSessionTest, MatchesBatchEvaluation) {
   Lahar lahar(&batch_db);
   auto batch = lahar.Run(query);
   ASSERT_OK(batch.status());
+  // Batch Run is itself a session run to the horizon; the canonical-order
+  // map path (no compiled kernel) shares no step code with it.
+  LaharOptions map_path;
+  map_path.chain.kernel.max_flat_states = 0;
+  auto oracle = Lahar(&batch_db, map_path).Run(query);
+  ASSERT_OK(oracle.status());
+  ASSERT_EQ(oracle->probs.size(), batch->probs.size());
+  for (size_t t = 1; t < batch->probs.size(); ++t) {
+    EXPECT_EQ(batch->probs[t], oracle->probs[t]) << "t=" << t;
+  }
 
   // ...then feed the same distributions one timestep at a time.
   EventDatabase db;

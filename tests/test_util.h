@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "engine/safe_engine.h"
 #include "model/database.h"
 #include "query/parser.h"
 
@@ -135,6 +136,19 @@ inline QueryPtr MustParse(EventDatabase* db, const std::string& text) {
   auto q = ParseQuery(text, &db->interner());
   EXPECT_TRUE(q.ok()) << q.status().ToString() << " in: " << text;
   return q.ok() ? *q : nullptr;
+}
+
+/// Drives a safe-plan engine tick by tick through its shard protocol (as
+/// SafeQuerySession does) up to `horizon`; P[q@t] at index t.
+inline Result<std::vector<double>> RunSafePlan(SafePlanEngine* engine,
+                                               Timestamp horizon) {
+  std::vector<double> probs(horizon + 1, 0.0);
+  for (Timestamp t = 1; t <= horizon; ++t) {
+    engine->PrepareShard(t);
+    engine->ShardAdvance(0, engine->NumShardUnits(), t);
+    LAHAR_ASSIGN_OR_RETURN(probs[t], engine->FinishAdvance(t));
+  }
+  return probs;
 }
 
 }  // namespace testing
