@@ -6,6 +6,11 @@
 namespace lahar {
 namespace {
 
+// Fixed compilation caps beside KernelLimits::max_flat_states: distinct
+// combined input-symbol profiles and reachable NFA state sets.
+constexpr size_t kMaxInputClasses = 4096;
+constexpr size_t kMaxMasks = 4096;
+
 void AppendU64(std::string* s, uint64_t v) {
   s->append(reinterpret_cast<const char*>(&v), sizeof(v));
 }
@@ -30,8 +35,6 @@ std::string KernelSignature(const QueryNfa& nfa,
   std::string sig;
   sig.reserve(64 + streams.size() * 32);
   AppendU64(&sig, limits.max_flat_states);
-  AppendU64(&sig, limits.max_input_classes);
-  AppendU64(&sig, limits.max_masks);
   AppendU64(&sig, nfa.num_states());
   AppendU64(&sig, nfa.accept_mask());
   AppendU64(&sig, nfa.edges().size());
@@ -114,7 +117,7 @@ std::shared_ptr<const CompiledKernel> CompileKernel(
         }
       }
     }
-    if (next.size() > limits.max_input_classes) return nullptr;
+    if (next.size() > kMaxInputClasses) return nullptr;
     combos.swap(next);
   }
   std::sort(combos.begin(), combos.end());
@@ -130,7 +133,7 @@ std::shared_ptr<const CompiledKernel> CompileKernel(
       auto [it, fresh] =
           input_id.emplace(combined, static_cast<uint32_t>(inputs.size()));
       if (fresh) {
-        if (inputs.size() >= limits.max_input_classes) return nullptr;
+        if (inputs.size() >= kMaxInputClasses) return nullptr;
         inputs.push_back(combined);
       }
       kernel->pair_class[mc * combos.size() + ic] = it->second;
@@ -147,7 +150,7 @@ std::shared_ptr<const CompiledKernel> CompileKernel(
       StateMask next = nfa.Transition(masks[i], input);
       if (seen.insert(next).second) {
         masks.push_back(next);
-        if (masks.size() > limits.max_masks ||
+        if (masks.size() > kMaxMasks ||
             masks.size() * R > limits.max_flat_states) {
           return nullptr;
         }

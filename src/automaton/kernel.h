@@ -51,16 +51,13 @@ struct KernelStream {
   std::vector<SymbolMask> masks;  ///< mask per domain index
 };
 
-/// Budgets bounding the compiled space; exceeding any of them makes
-/// compilation fail (return null) and the chain keep the dynamic map path.
+/// Budget bounding the compiled space; exceeding it (or the fixed caps on
+/// input classes and reachable state sets in kernel.cc) makes compilation
+/// fail (return null) and the chain keep the dynamic map path.
 struct KernelLimits {
   /// Max flat states per chain (|reachable state sets| x |joint hidden
   /// codes|). 0 disables compilation entirely.
   size_t max_flat_states = 1 << 16;
-  /// Max distinct combined input-symbol profiles.
-  size_t max_input_classes = 4096;
-  /// Max reachable NFA state sets.
-  size_t max_masks = 4096;
 };
 
 /// \brief Immutable compiled evaluation structure. Shared (shared_ptr) by

@@ -66,7 +66,7 @@ Result<ExtendedRegularEngine> ExtendedRegularEngine::Create(
     NormalizedQuery grounded = q.Substitute(b);
     if (engine.lazy_) {
       // Lazy materialization: register the binding as a ~16-byte stub; the
-      // real chain is compiled on its first loud tick (PromoteChain), which
+      // real chain is compiled on its first loud tick (Materialize), which
       // reproduces the skipped all-quiet prefix in closed form.
       LAHAR_ASSIGN_OR_RETURN(
           SymbolTable table,
@@ -202,7 +202,26 @@ bool ExtendedRegularEngine::QuietAt(size_t i, Timestamp next) const {
   return true;
 }
 
-Result<RegularChain> ExtendedRegularEngine::BuildChain(size_t i) const {
+ChainState ExtendedRegularEngine::BindingLayout(size_t i) const {
+  ChainState s;
+  uint64_t radix = 1;
+  for (uint32_t k = part_begin_[i]; k < part_begin_[i + 1]; ++k) {
+    if (!parts_[k].markovian) continue;
+    s.markov_streams.push_back(parts_[k].stream);
+    s.radices.push_back(radix);
+    radix *= db_->stream(parts_[k].stream).domain_size();
+  }
+  return s;
+}
+
+ChainState ExtendedRegularEngine::StubState(size_t i) const {
+  ChainState s = BindingLayout(i);
+  s.t = t_;
+  s.entries.push_back({stub_mask_[i], 0, 1.0});
+  return s;
+}
+
+Status ExtendedRegularEngine::Materialize(size_t i, const ChainState& state) {
   ChainOptions opts = chain_options_;
   opts.stream_index = stream_index_.get();
   NormalizedQuery grounded = query_.Substitute(bindings_[i]);
@@ -223,112 +242,44 @@ Result<RegularChain> ExtendedRegularEngine::BuildChain(size_t i) const {
         "binding's participating streams changed since engine creation; "
         "re-ground the query to pick up new streams");
   }
-  return chain;
-}
-
-void ExtendedRegularEngine::PromoteChain(size_t i) {
-  Result<RegularChain> built = BuildChain(i);
-  if (!built.ok()) {
-    LatchLifecycleError(built.status());
-    return;
-  }
-  // Seed the fresh chain with the stub's closed-form state at time t_ via
-  // the checkpoint path — the same bytes an always-materialized chain would
-  // have serialized after the all-quiet prefix.
-  serial::Writer w;
-  SaveChainState(i, &w);
-  serial::Reader r(w.str());
-  Status s = built.value().LoadState(&r);
-  if (!s.ok()) {
-    LatchLifecycleError(s);
-    return;
-  }
-  chains_[i] = std::make_unique<RegularChain>(std::move(built).value());
-  residency_[i] = kResident;
-  idle_ticks_[i] = 0;
-  counters_->promotions.fetch_add(1, std::memory_order_relaxed);
-}
-
-void ExtendedRegularEngine::RehydrateChain(size_t i) {
-  Result<RegularChain> built = BuildChain(i);
-  if (!built.ok()) {
-    LatchLifecycleError(built.status());
-    return;
-  }
-  serial::Writer w;
-  SaveChainState(i, &w);
-  serial::Reader r(w.str());
-  Status s = built.value().LoadState(&r);
-  if (!s.ok()) {
-    LatchLifecycleError(s);
-    return;
-  }
-  chains_[i] = std::make_unique<RegularChain>(std::move(built).value());
+  chain.Import(state);
+  chains_[i] = std::make_unique<RegularChain>(std::move(chain));
   spilled_[i].reset();
   residency_[i] = kResident;
   idle_ticks_[i] = 0;
-  counters_->rehydrations.fetch_add(1, std::memory_order_relaxed);
+  return Status::OK();
+}
+
+bool ExtendedRegularEngine::IsClosedForm(const ChainState& s) {
+  return !s.track && s.entries.size() == 1 && s.entries[0].hidden == 0 &&
+         s.entries[0].p == 1.0;
+}
+
+bool ExtendedRegularEngine::IsFrozen(const ChainState& s) const {
+  return !s.track && !s.entries.empty() &&
+         std::all_of(s.entries.begin(), s.entries.end(),
+                     [&](const ChainState::Entry& e) {
+                       return stub_nfa_->Transition(e.mask, 0) == e.mask;
+                     });
+}
+
+void ExtendedRegularEngine::Park(size_t i, ChainState s) {
+  chains_[i].reset();
+  if (IsClosedForm(s)) {
+    stub_mask_[i] = s.entries[0].mask;
+    spilled_[i].reset();
+    residency_[i] = kStub;
+  } else {
+    spilled_[i] = std::make_unique<ChainState>(std::move(s));
+    residency_[i] = kSpilled;
+  }
 }
 
 void ExtendedRegularEngine::TrySpill(size_t i) {
-  const RegularChain& c = *chains_[i];
-  if (IsDelegated(i) || c.track_accept() || !c.status().ok()) return;
-  // SaveState is the only canonical-order export of the live distribution;
-  // parse it back to inspect (and keep) the entries.
-  serial::Writer w;
-  c.SaveState(&w);
-  serial::Reader r(w.str());
-  uint32_t t;
-  uint8_t track;
-  uint64_t slots;
-  if (!r.U32(&t).ok() || !r.U8(&track).ok() || !r.U64(&slots).ok()) return;
-  auto sp = std::make_unique<SpilledChain>();
-  sp->track = track;
-  sp->radices = c.radices();
-  for (uint32_t k = part_begin_[i]; k < part_begin_[i + 1]; ++k) {
-    if (parts_[k].markovian) sp->markov_streams.push_back(parts_[k].stream);
-  }
-  if (sp->markov_streams.size() != slots || sp->radices.size() != slots) {
-    return;
-  }
-  std::vector<uint64_t> domains(slots);
-  for (size_t d = 0; d < slots; ++d) {
-    if (!r.U64(&domains[d]).ok()) return;
-  }
-  uint64_t n;
-  if (!r.U64(&n).ok() || n == 0) return;
-  sp->entries.reserve(n);
-  bool stub_form = n == 1;
-  for (uint64_t e = 0; e < n; ++e) {
-    SpilledChain::Entry entry;
-    if (!r.U64(&entry.mask).ok()) return;
-    for (size_t d = 0; d < slots; ++d) {
-      uint64_t digit;
-      if (!r.U64(&digit).ok()) return;
-      entry.hidden += sp->radices[d] * digit;
-      if (digit != 0) stub_form = false;
-    }
-    if (!r.F64(&entry.p).ok()) return;
-    if (entry.p != 1.0) stub_form = false;
-    sp->entries.push_back(entry);
-  }
-  if (stub_form) {
-    // The state IS the closed form — drop all the way back to a stub.
-    stub_mask_[i] = sp->entries[0].mask;
-    chains_[i].reset();
-    residency_[i] = kStub;
-    counters_->spills.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  // Freezing is only sound when quiet ticks are bitwise no-ops: every mask
-  // must be a fixed point of the empty-input transition (probabilities are
-  // already exact-1.0 multiplies on quiet ticks).
-  for (const SpilledChain::Entry& e : sp->entries) {
-    if (stub_nfa_->Transition(e.mask, 0) != e.mask) return;
-  }
-  chains_[i].reset();
-  spilled_[i] = std::move(sp);
-  residency_[i] = kSpilled;
+  if (IsDelegated(i) || !chains_[i]->status().ok()) return;
+  ChainState s = chains_[i]->Export();
+  if (!IsClosedForm(s) && !IsFrozen(s)) return;
+  Park(i, std::move(s));
   counters_->spills.fetch_add(1, std::memory_order_relaxed);
 }
 
@@ -340,153 +291,28 @@ void ExtendedRegularEngine::SaveChainState(size_t i, serial::Writer* w) const {
     (IsDelegated(i) ? delegates_[i]->chain() : *chains_[i]).SaveState(w);
     return;
   }
-  w->U32(static_cast<uint32_t>(t_));
   if (residency_[i] == kStub) {
-    w->U8(0);
-    const uint32_t pb = part_begin_[i];
-    const uint32_t pe = part_begin_[i + 1];
-    uint64_t slots = 0;
-    for (uint32_t k = pb; k < pe; ++k) slots += parts_[k].markovian ? 1 : 0;
-    w->U64(slots);
-    for (uint32_t k = pb; k < pe; ++k) {
-      if (parts_[k].markovian) {
-        w->U64(db_->stream(parts_[k].stream).domain_size());
-      }
-    }
-    w->U64(1);
-    w->U64(stub_mask_[i]);
-    for (uint64_t s = 0; s < slots; ++s) w->U64(0);
-    w->F64(1.0);
+    StubState(i).Encode(*db_, w);
     return;
   }
-  const SpilledChain& sp = *spilled_[i];
-  w->U8(sp.track);
-  w->U64(sp.radices.size());
-  // Digits are re-derived against *current* domain sizes with the
-  // creation-time radices — exactly RegularChain::SaveState's encoding, so
-  // the bytes stay identical even if a domain grew while spilled.
-  std::vector<uint64_t> domains(sp.radices.size());
-  for (size_t s = 0; s < sp.radices.size(); ++s) {
-    domains[s] = db_->stream(sp.markov_streams[s]).domain_size();
-    w->U64(domains[s]);
-  }
-  w->U64(sp.entries.size());
-  for (const SpilledChain::Entry& e : sp.entries) {
-    w->U64(e.mask);
-    for (size_t s = 0; s < sp.radices.size(); ++s) {
-      w->U64((e.hidden / sp.radices[s]) % domains[s]);
-    }
-    w->F64(e.p);
-  }
+  ChainState s = *spilled_[i];
+  s.t = t_;
+  s.Encode(*db_, w);
 }
 
 Status ExtendedRegularEngine::RestoreChainState(size_t i, serial::Reader* r,
                                                 uint32_t t) {
-  uint32_t ct;
-  uint8_t track;
-  uint64_t slots;
-  LAHAR_RETURN_NOT_OK(r->U32(&ct));
-  LAHAR_RETURN_NOT_OK(r->U8(&track));
-  LAHAR_RETURN_NOT_OK(r->U64(&slots));
-  std::vector<StreamId> markov;
-  for (uint32_t k = part_begin_[i]; k < part_begin_[i + 1]; ++k) {
-    if (parts_[k].markovian) markov.push_back(parts_[k].stream);
-  }
-  if (slots != markov.size()) {
-    return Status::InvalidArgument(
-        "chain snapshot has " + std::to_string(slots) +
-        " Markovian slots, this binding has " +
-        std::to_string(markov.size()) + " (different query or database?)");
-  }
-  std::vector<uint64_t> domains(slots);
-  std::vector<uint64_t> radices(slots);
-  uint64_t radix = 1;
-  for (size_t s = 0; s < slots; ++s) {
-    LAHAR_RETURN_NOT_OK(r->U64(&domains[s]));
-    const uint64_t here = db_->stream(markov[s]).domain_size();
-    if (domains[s] != here) {
-      return Status::InvalidArgument(
-          "chain snapshot slot " + std::to_string(s) + " has domain size " +
-          std::to_string(domains[s]) + ", restored database has " +
-          std::to_string(here) + " (snapshot/database mismatch)");
-    }
-    radices[s] = radix;
-    radix *= domains[s];
-  }
-  uint64_t n;
-  LAHAR_RETURN_NOT_OK(r->U64(&n));
-  auto sp = std::make_unique<SpilledChain>();
-  sp->track = track;
-  sp->radices = std::move(radices);
-  sp->markov_streams = std::move(markov);
-  sp->entries.reserve(n);
-  bool stub_form = n == 1 && track == 0;
-  for (uint64_t e = 0; e < n; ++e) {
-    SpilledChain::Entry entry;
-    LAHAR_RETURN_NOT_OK(r->U64(&entry.mask));
-    for (size_t s = 0; s < slots; ++s) {
-      uint64_t digit;
-      LAHAR_RETURN_NOT_OK(r->U64(&digit));
-      if (digit >= domains[s]) {
-        return Status::InvalidArgument("chain snapshot digit out of domain");
-      }
-      entry.hidden += sp->radices[s] * digit;
-      if (digit != 0) stub_form = false;
-    }
-    LAHAR_RETURN_NOT_OK(r->F64(&entry.p));
-    if (entry.p != 1.0) stub_form = false;
-    sp->entries.push_back(entry);
-  }
-  // Classify back into the cheapest residency that reproduces the snapshot
-  // exactly. Chains saved at a different clock than the engine (should not
-  // happen in well-formed snapshots) always materialize.
-  if (lazy_ && stub_form && ct == t) {
-    stub_mask_[i] = sp->entries[0].mask;
-    chains_[i].reset();
-    spilled_[i].reset();
-    residency_[i] = kStub;
-    idle_ticks_[i] = 0;
+  ChainState s = BindingLayout(i);
+  LAHAR_RETURN_NOT_OK(s.Decode(r, *db_, stub_nfa_->num_states()));
+  // Park what the engine's options would have parked, so a cold chain
+  // round-trips without a forced rehydration (docs/RUNTIME.md). Chains
+  // saved at a different clock than the engine (should not happen in
+  // well-formed snapshots) always materialize.
+  if (s.t == t && ((lazy_ && IsClosedForm(s)) || (spill_ && IsFrozen(s)))) {
+    Park(i, std::move(s));
     return Status::OK();
   }
-  if (spill_ && track == 0 && n > 0 && ct == t) {
-    bool frozen = true;
-    for (const SpilledChain::Entry& e : sp->entries) {
-      if (stub_nfa_->Transition(e.mask, 0) != e.mask) {
-        frozen = false;
-        break;
-      }
-    }
-    if (frozen) {
-      // Restored cold and stays cold: checkpoints of spilled chains
-      // round-trip without forcing a rehydration (docs/RUNTIME.md).
-      chains_[i].reset();
-      spilled_[i] = std::move(sp);
-      residency_[i] = kSpilled;
-      idle_ticks_[i] = cold_after_;
-      return Status::OK();
-    }
-  }
-  LAHAR_ASSIGN_OR_RETURN(RegularChain chain, BuildChain(i));
-  serial::Writer w;
-  w.U32(ct);
-  w.U8(track);
-  w.U64(slots);
-  for (size_t s = 0; s < slots; ++s) w.U64(domains[s]);
-  w.U64(n);
-  for (const SpilledChain::Entry& e : sp->entries) {
-    w.U64(e.mask);
-    for (size_t s = 0; s < slots; ++s) {
-      w.U64((e.hidden / sp->radices[s]) % domains[s]);
-    }
-    w.F64(e.p);
-  }
-  serial::Reader cr(w.str());
-  LAHAR_RETURN_NOT_OK(chain.LoadState(&cr));
-  chains_[i] = std::make_unique<RegularChain>(std::move(chain));
-  spilled_[i].reset();
-  residency_[i] = kResident;
-  idle_ticks_[i] = 0;
-  return Status::OK();
+  return Materialize(i, s);
 }
 
 void ExtendedRegularEngine::LatchLifecycleError(const Status& s) {
@@ -520,17 +346,21 @@ void ExtendedRegularEngine::StepChainRange(size_t begin, size_t end) {
         ++i;
         continue;
       }
-      if (residency_[i] == kStub) {
-        PromoteChain(i);
-      } else {
-        RehydrateChain(i);
-      }
-      if (residency_[i] != kResident) {
-        // Build failed; the error is latched (ChainStatus) and the binding
-        // stays frozen rather than stepping a dead chain.
+      // Promotion seeds the fresh chain with the stub's closed form at t_ —
+      // the state an always-materialized chain reaches after the all-quiet
+      // prefix; rehydration imports the spilled state at t_.
+      const bool stub = residency_[i] == kStub;
+      if (!stub) spilled_[i]->t = t_;
+      Status built = Materialize(i, stub ? StubState(i) : *spilled_[i]);
+      if (!built.ok()) {
+        // The error is latched (ChainStatus) and the binding stays frozen
+        // rather than stepping a dead chain.
+        LatchLifecycleError(built);
         ++i;
         continue;
       }
+      (stub ? counters_->promotions : counters_->rehydrations)
+          .fetch_add(1, std::memory_order_relaxed);
     }
     // Whole-stripe step when the stripe lies entirely in this range and no
     // lane is delegated; otherwise (or when StepStripe declines this tick)
@@ -629,8 +459,8 @@ ExtendedRegularEngine::MemoryFootprint ExtendedRegularEngine::Footprint()
         part_begin_.capacity() * sizeof(uint32_t) +
         parts_.capacity() * sizeof(LifecyclePart) +
         trigger_words_.capacity() * sizeof(uint64_t) +
-        spilled_.capacity() * sizeof(std::unique_ptr<SpilledChain>);
-    for (const std::unique_ptr<SpilledChain>& sp : spilled_) {
+        spilled_.capacity() * sizeof(std::unique_ptr<ChainState>);
+    for (const std::unique_ptr<ChainState>& sp : spilled_) {
       if (sp != nullptr) fp.lifecycle_bytes += sp->bytes();
     }
   }
@@ -677,7 +507,7 @@ double ExtendedRegularEngine::CommitParallelStep() {
   ++t_;
   // Single-threaded point: refresh the stream index if the database gained
   // streams since it was built, so later promotions see current candidates
-  // (participation checks in BuildChain still pin the creation-time set).
+  // (participation checks in Materialize still pin the creation-time set).
   if (lifecycle_ && stream_index_ != nullptr &&
       stream_index_->num_streams() != db_->num_streams()) {
     stream_index_ =
@@ -719,6 +549,10 @@ Status ExtendedRegularEngine::LoadState(serial::Reader* r) {
         "engine snapshot has " + std::to_string(num_chains) +
         " chains, this engine has " + std::to_string(chains_.size()) +
         " (different query or database?)");
+  }
+  if (!std::all_of(probs.begin(), probs.end(), ChainState::ValidProb)) {
+    return Status::InvalidArgument(
+        "engine snapshot chain probability is not a finite value in [0, 1]");
   }
   for (size_t i = 0; i < chains_.size(); ++i) {
     if (lifecycle_) {

@@ -16,13 +16,16 @@
 //               {mask, hidden=0, p=1.0} with mask evolving by
 //               Transition(mask, 0). Promoted to resident on first
 //               evidence, bit-identically by construction.
-//   * spilled:  the chain's live distribution parked as checkpoint-encoded
-//               entries in a compact side arena. Only entered when every
-//               state-set mask is a fixed point of the empty-input
-//               transition, so quiet ticks are bitwise no-ops; rehydrated
-//               transparently on the next loud tick.
-// All three serialize into the same per-chain checkpoint encoding, so
-// engine snapshots are byte-identical to the always-materialized reference.
+//   * spilled:  the chain's exported ChainState parked in a compact side
+//               arena. Only entered when every state-set mask is a fixed
+//               point of the empty-input transition, so quiet ticks are
+//               bitwise no-ops; rehydrated transparently on the next loud
+//               tick.
+// Every residency change and checkpoint goes through one ChainState value
+// (engine/regular_engine.h): spilling exports it, promotion, rehydration
+// and restore import it into a freshly built chain, and all three
+// residencies encode through its one encoder, so engine snapshots are
+// byte-identical to the always-materialized reference.
 #ifndef LAHAR_ENGINE_EXTENDED_ENGINE_H_
 #define LAHAR_ENGINE_EXTENDED_ENGINE_H_
 
@@ -229,27 +232,6 @@ class ExtendedRegularEngine {
     uint32_t trigger_bits = 0;
   };
 
-  // A cold chain's live distribution, parked off the step path. Entries
-  // keep the raw (mask, hidden) keys plus the creation-time radices, so
-  // checkpoint bytes can be re-emitted against *current* domain sizes
-  // exactly as the live chain's SaveState would.
-  struct SpilledChain {
-    uint8_t track = 0;
-    std::vector<uint64_t> radices;         // per Markovian slot
-    std::vector<StreamId> markov_streams;  // per slot, for domain lookups
-    struct Entry {
-      StateMask mask = 0;
-      uint64_t hidden = 0;
-      double p = 0.0;
-    };
-    std::vector<Entry> entries;  // canonical (mask, hidden) order
-    size_t bytes() const {
-      return sizeof(SpilledChain) + radices.capacity() * sizeof(uint64_t) +
-             markov_streams.capacity() * sizeof(StreamId) +
-             entries.capacity() * sizeof(Entry);
-    }
-  };
-
   // True when every participating stream of binding i is quiet at `next`:
   // stepping is then the empty-input transition with all probability
   // multipliers exactly 1.0 (see BuildIndependentMaskDist /
@@ -257,23 +239,35 @@ class ExtendedRegularEngine {
   bool QuietAt(size_t i, Timestamp next) const;
   // Appends the next binding's lifecycle tables from its symbol table.
   void AppendLifecycleParts(const SymbolTable& table);
-  // Materializes binding i from its stub (thread-safe for disjoint i).
-  void PromoteChain(size_t i);
-  // Rebuilds binding i's chain from its spilled entries.
-  void RehydrateChain(size_t i);
-  // Freezes resident binding i when its state is a fixed point of the
-  // empty-input transition; downgrades all the way to a stub when the
-  // state is exactly the closed form. No-op when ineligible.
+  // Binding i's hidden-code layout (its Markovian streams, radices over the
+  // current domain sizes) in an otherwise empty state.
+  ChainState BindingLayout(size_t i) const;
+  // Stub binding i's closed-form state at time t_: the single entry
+  // {stub mask, hidden 0, p 1.0}.
+  ChainState StubState(size_t i) const;
+  // Makes binding i resident: builds a fresh chain over the creation-time
+  // participants and imports `state` (promotion, rehydration, restore;
+  // thread-safe for disjoint i).
+  Status Materialize(size_t i, const ChainState& state);
+  // A stub's closed form: the single entry {mask, hidden 0, p 1.0}.
+  static bool IsClosedForm(const ChainState& s);
+  // Every mask is a fixed point of the empty-input transition, so quiet
+  // ticks are bitwise no-ops on the state (probabilities are already
+  // exact-1.0 multiplies on quiet ticks). Accept tracking never freezes.
+  bool IsFrozen(const ChainState& s) const;
+  // Drops binding i's chain and keeps `s` as a stub (closed form) or in
+  // the spill arena (otherwise; `s` must be frozen).
+  void Park(size_t i, ChainState s);
+  // Parks resident binding i when its state is closed-form or frozen.
   void TrySpill(size_t i);
   // Serializes binding i's snapshot — same bytes as a live chain's
   // SaveState — from whichever residency it is in.
   void SaveChainState(size_t i, serial::Writer* w) const;
   // Restores binding i from one chain snapshot inside an engine snapshot
-  // taken at time `t`, classifying it back into the cheapest residency that
-  // reproduces it exactly (stub, spilled, or materialized).
+  // taken at time `t`: decodes it once and classifies the value into the
+  // cheapest residency that reproduces it exactly (stub, spilled, or
+  // materialized).
   Status RestoreChainState(size_t i, serial::Reader* r, uint32_t t);
-  // Builds a fresh chain for binding i (promotion/rehydration/restore).
-  Result<RegularChain> BuildChain(size_t i) const;
   void LatchLifecycleError(const Status& s);
 
   // Heap-held per binding so non-resident bindings cost a null pointer, not
@@ -334,7 +328,9 @@ class ExtendedRegularEngine {
   std::vector<uint32_t> part_begin_;  // [n + 1] offsets into parts_
   std::vector<LifecyclePart> parts_;
   std::vector<uint64_t> trigger_words_;
-  std::vector<std::unique_ptr<SpilledChain>> spilled_;
+  // Exported state of each spilled binding; its clock is stale (the
+  // binding's clock is t_ while spilled).
+  std::vector<std::unique_ptr<ChainState>> spilled_;
 
   Timestamp t_ = 0;
   Timestamp horizon_ = 0;

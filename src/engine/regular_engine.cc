@@ -57,7 +57,6 @@ Result<RegularChain> RegularChain::Create(const NormalizedQuery& q,
       }
       p.radix = radix;
       p.hidden_slot = slot++;
-      chain.radices_.push_back(radix);
       chain.kernel_domains_.push_back(
           static_cast<uint32_t>(s.domain_size()));
       radix *= s.domain_size();
@@ -172,7 +171,6 @@ RegularChain::RegularChain(const RegularChain& o)
       markov_participants_(o.markov_participants_),
       indep_participants_(o.indep_participants_),
       indep_dist_(o.indep_dist_),
-      radices_(o.radices_),
       kernel_domains_(o.kernel_domains_),
       horizon_(o.horizon_),
       t_(o.t_),
@@ -210,7 +208,6 @@ RegularChain& RegularChain::operator=(RegularChain&& o) noexcept {
   markov_participants_ = std::move(o.markov_participants_);
   indep_participants_ = std::move(o.indep_participants_);
   indep_dist_ = std::move(o.indep_dist_);
-  radices_ = std::move(o.radices_);
   kernel_domains_ = std::move(o.kernel_domains_);
   horizon_ = o.horizon_;
   t_ = o.t_;
@@ -794,20 +791,9 @@ bool RegularChain::StepStripe(RegularChain* const* chains, size_t n,
 }
 
 void RegularChain::DematerializeToMap() {
-  const CompiledKernel& k = *kernel_;
-  const size_t M = k.masks.size();
-  const uint64_t R = k.R;
   states_.clear();
-  for (size_t a = 0; a < planes_; ++a) {
-    for (size_t mi = 0; mi < M; ++mi) {
-      const double* src = cur_ + (a * M + mi) * R * lane_stride_;
-      const StateMask mask = k.masks[mi] | (a != 0 ? kAcceptedFlag : 0);
-      for (uint64_t h = 0; h < R; ++h) {
-        const uint64_t slot = simd_ ? k.slot_of[h] : h;
-        const double p = src[slot * lane_stride_];
-        if (p != 0.0) states_.emplace(Key{mask, h}, p);
-      }
-    }
+  for (const ChainState::Entry& e : Export().entries) {
+    states_.emplace(Key{e.mask, e.hidden}, e.p);
   }
   kernel_.reset();
   flat_.clear();
@@ -956,16 +942,6 @@ size_t RegularChain::StepCost() const {
                             : std::max<size_t>(1, states_.size());
 }
 
-std::vector<RegularChain::ParticipantSummary>
-RegularChain::ParticipantSummaries() const {
-  std::vector<ParticipantSummary> out;
-  out.reserve(participants_.size());
-  for (const Participant& p : participants_) {
-    out.push_back({p.id, p.position, p.markovian});
-  }
-  return out;
-}
-
 size_t RegularChain::OwnedBytes() const {
   size_t total = flat_.capacity() * sizeof(double);
   const Scratch& s = scratch_;
@@ -1008,22 +984,122 @@ void RegularChain::BindArena(double* cur, double* nxt, size_t lane_stride) {
   lane_stride_ = lane_stride;
 }
 
-void RegularChain::SaveState(serial::Writer* w) const {
-  w->U32(t_);
-  w->U8(track_accept_ ? 1 : 0);
-  // Per-slot domain sizes at save time. Decoding digits with the *current*
-  // domain size matches exactly how EnumerateSuccessors interprets hidden
-  // codes, and the restored chain (built over the restored database, which
-  // has these same sizes) re-encodes with its own radices.
-  w->U64(markov_participants_.size());
-  std::vector<uint64_t> domains(markov_participants_.size());
-  for (size_t i = 0; i < markov_participants_.size(); ++i) {
-    domains[i] = db_->stream(markov_participants_[i].id).domain_size();
+size_t ChainState::bytes() const {
+  return sizeof(ChainState) + markov_streams.capacity() * sizeof(StreamId) +
+         radices.capacity() * sizeof(uint64_t) +
+         entries.capacity() * sizeof(Entry);
+}
+
+void ChainState::Encode(const EventDatabase& db, serial::Writer* w) const {
+  w->U32(t);
+  w->U8(track ? 1 : 0);
+  // Digits are derived against the *current* domain sizes — exactly how
+  // EnumerateSuccessors interprets hidden codes — and a chain rebuilt over
+  // the restored database (which has these same sizes) re-encodes them
+  // with its own radices.
+  w->U64(markov_streams.size());
+  std::vector<uint64_t> domains(markov_streams.size());
+  for (size_t i = 0; i < domains.size(); ++i) {
+    domains[i] = db.stream(markov_streams[i]).domain_size();
     w->U64(domains[i]);
   }
-  // Live entries in canonical (mask, hidden) order — kernel flat-walk and
-  // sorted map produce the same sequence.
-  std::vector<std::pair<Key, double>> entries;
+  w->U64(entries.size());
+  for (const Entry& e : entries) {
+    w->U64(e.mask);
+    for (size_t i = 0; i < domains.size(); ++i) {
+      w->U64((e.hidden / radices[i]) % domains[i]);
+    }
+    w->F64(e.p);
+  }
+}
+
+Status ChainState::Decode(serial::Reader* r, const EventDatabase& db,
+                          size_t nfa_states) {
+  uint8_t track_byte;
+  uint64_t num_slots;
+  LAHAR_RETURN_NOT_OK(r->U32(&t));
+  LAHAR_RETURN_NOT_OK(r->U8(&track_byte));
+  LAHAR_RETURN_NOT_OK(r->U64(&num_slots));
+  if (track_byte > 1) {
+    return Status::InvalidArgument("chain snapshot track byte is not 0/1");
+  }
+  track = track_byte != 0;
+  if (num_slots != markov_streams.size()) {
+    return Status::InvalidArgument(
+        "chain snapshot has " + std::to_string(num_slots) +
+        " Markovian slots, this chain has " +
+        std::to_string(markov_streams.size()) +
+        " (different query or database?)");
+  }
+  std::vector<uint64_t> domains(num_slots);
+  radices.assign(num_slots, 1);
+  for (size_t i = 0; i < num_slots; ++i) {
+    LAHAR_RETURN_NOT_OK(r->U64(&domains[i]));
+    const uint64_t here = db.stream(markov_streams[i]).domain_size();
+    if (domains[i] != here) {
+      return Status::InvalidArgument(
+          "chain snapshot slot " + std::to_string(i) + " has domain size " +
+          std::to_string(domains[i]) + ", restored database has " +
+          std::to_string(here) + " (snapshot/database mismatch)");
+    }
+    if (i > 0) radices[i] = radices[i - 1] * domains[i - 1];
+  }
+  uint64_t num_entries;
+  LAHAR_RETURN_NOT_OK(r->U64(&num_entries));
+  // Bound the untrusted count by the bytes left before reserving for it.
+  if (num_entries > r->remaining() / (16 + 8 * num_slots)) {
+    return Status::InvalidArgument(
+        "chain snapshot claims " + std::to_string(num_entries) +
+        " entries, only " + std::to_string(r->remaining()) + " bytes remain");
+  }
+  // Masks index the automaton's transition table: bits past its states
+  // would read out of bounds on the next Step.
+  const StateMask states = (StateMask{1} << nfa_states) - 1;
+  entries.clear();
+  entries.reserve(num_entries);
+  for (uint64_t e = 0; e < num_entries; ++e) {
+    Entry entry;
+    LAHAR_RETURN_NOT_OK(r->U64(&entry.mask));
+    if ((entry.mask & ~kAcceptedFlag & ~states) != 0) {
+      return Status::InvalidArgument(
+          "chain snapshot state set has bits beyond the automaton's " +
+          std::to_string(nfa_states) + " states");
+    }
+    if ((entry.mask & kAcceptedFlag) != 0 && !track) {
+      return Status::InvalidArgument(
+          "chain snapshot sets the accepted flag without accept tracking");
+    }
+    for (size_t i = 0; i < num_slots; ++i) {
+      uint64_t digit;
+      LAHAR_RETURN_NOT_OK(r->U64(&digit));
+      if (digit >= domains[i]) {
+        return Status::InvalidArgument("chain snapshot digit out of domain");
+      }
+      entry.hidden += radices[i] * digit;
+    }
+    LAHAR_RETURN_NOT_OK(r->F64(&entry.p));
+    if (!ValidProb(entry.p)) {
+      return Status::InvalidArgument(
+          "chain snapshot probability is not a finite value in [0, 1]");
+    }
+    entries.push_back(entry);
+  }
+  return Status::OK();
+}
+
+ChainState RegularChain::EmptyState() const {
+  ChainState s;
+  for (const Participant& p : markov_participants_) {
+    s.markov_streams.push_back(p.id);
+    s.radices.push_back(p.radix);
+  }
+  return s;
+}
+
+ChainState RegularChain::Export() const {
+  ChainState s = EmptyState();
+  s.t = t_;
+  s.track = track_accept_;
   if (kernel_ != nullptr) {
     const CompiledKernel& k = *kernel_;
     const size_t M = k.masks.size();
@@ -1035,85 +1111,51 @@ void RegularChain::SaveState(serial::Writer* w) const {
         for (uint64_t h = 0; h < R; ++h) {
           const uint64_t slot = simd_ ? k.slot_of[h] : h;
           const double p = src[slot * lane_stride_];
-          if (p != 0.0) entries.push_back({Key{mask, h}, p});
+          if (p != 0.0) s.entries.push_back({mask, h, p});
         }
       }
     }
-    SortCanonical(&entries);
   } else {
-    entries.assign(states_.begin(), states_.end());
-    SortCanonical(&entries);
-  }
-  w->U64(entries.size());
-  for (const auto& [key, p] : entries) {
-    w->U64(key.mask);
-    for (size_t i = 0; i < markov_participants_.size(); ++i) {
-      w->U64((key.hidden / radices_[i]) % domains[i]);
+    s.entries.reserve(states_.size());
+    for (const auto& [key, p] : states_) {
+      s.entries.push_back({key.mask, key.hidden, p});
     }
-    w->F64(p);
   }
+  // Canonical order: the kernel flat walk and the sorted map agree.
+  std::sort(s.entries.begin(), s.entries.end(),
+            [](const ChainState::Entry& x, const ChainState::Entry& y) {
+              return x.mask != y.mask ? x.mask < y.mask : x.hidden < y.hidden;
+            });
+  return s;
 }
 
-Status RegularChain::LoadState(serial::Reader* r) {
-  uint32_t t;
-  uint8_t track;
-  uint64_t num_slots;
-  LAHAR_RETURN_NOT_OK(r->U32(&t));
-  LAHAR_RETURN_NOT_OK(r->U8(&track));
-  LAHAR_RETURN_NOT_OK(r->U64(&num_slots));
-  if (num_slots != markov_participants_.size()) {
-    return Status::InvalidArgument(
-        "chain snapshot has " + std::to_string(num_slots) +
-        " Markovian slots, this chain has " +
-        std::to_string(markov_participants_.size()) +
-        " (different query or database?)");
+void RegularChain::Import(const ChainState& s) {
+  // Re-encode each hidden code for this chain's radices through its
+  // per-slot digits against the current domain sizes — the Encode/Decode
+  // round trip without the bytes.
+  std::vector<uint64_t> domains(markov_participants_.size());
+  for (size_t i = 0; i < domains.size(); ++i) {
+    domains[i] = db_->stream(markov_participants_[i].id).domain_size();
   }
-  std::vector<uint64_t> domains(num_slots);
-  for (size_t i = 0; i < num_slots; ++i) {
-    LAHAR_RETURN_NOT_OK(r->U64(&domains[i]));
-    const uint64_t here = db_->stream(markov_participants_[i].id).domain_size();
-    if (domains[i] != here) {
-      return Status::InvalidArgument(
-          "chain snapshot slot " + std::to_string(i) + " has domain size " +
-          std::to_string(domains[i]) + ", restored database has " +
-          std::to_string(here) + " (snapshot/database mismatch)");
+  auto key_of = [&](const ChainState::Entry& e) {
+    Key key{e.mask, 0};
+    for (size_t i = 0; i < domains.size(); ++i) {
+      key.hidden += markov_participants_[i].radix *
+                    ((e.hidden / s.radices[i]) % domains[i]);
     }
-  }
-  uint64_t num_entries;
-  LAHAR_RETURN_NOT_OK(r->U64(&num_entries));
-  std::vector<std::pair<Key, double>> entries;
-  entries.reserve(num_entries);
-  bool any_accept_flag = false;
-  for (uint64_t e = 0; e < num_entries; ++e) {
-    Key key{0, 0};
-    LAHAR_RETURN_NOT_OK(r->U64(&key.mask));
-    for (size_t i = 0; i < num_slots; ++i) {
-      uint64_t digit;
-      LAHAR_RETURN_NOT_OK(r->U64(&digit));
-      if (digit >= domains[i]) {
-        return Status::InvalidArgument("chain snapshot digit out of domain");
-      }
-      key.hidden += radices_[i] * digit;
-    }
-    double p;
-    LAHAR_RETURN_NOT_OK(r->F64(&p));
-    any_accept_flag = any_accept_flag || (key.mask & kAcceptedFlag) != 0;
-    entries.push_back({key, p});
-  }
-  if (track != 0 && !track_accept_) EnableAcceptTracking();
+    return key;
+  };
+  if (s.track && !track_accept_) EnableAcceptTracking();
   // Route into whichever path this chain was built with. The kernel can
-  // only host the state if every saved mask is in its reachable set (and
+  // only host the state if every mask is in its reachable set (and
   // accept-flagged mass has a second plane); otherwise fall back to the
   // map, which hosts anything.
-  bool use_kernel = kernel_ != nullptr && (!any_accept_flag || planes_ == 2);
-  if (use_kernel) {
-    for (const auto& [key, p] : entries) {
-      if (kernel_->MaskIndexOf(key.mask & ~kAcceptedFlag) < 0 ||
-          key.hidden >= kernel_->R) {
-        use_kernel = false;
-        break;
-      }
-    }
+  bool use_kernel = kernel_ != nullptr;
+  for (size_t e = 0; use_kernel && e < s.entries.size(); ++e) {
+    const Key key = key_of(s.entries[e]);
+    use_kernel = kernel_->MaskIndexOf(key.mask & ~kAcceptedFlag) >= 0 &&
+                 key.hidden < kernel_->R &&
+                 ((key.mask & kAcceptedFlag) == 0 || planes_ == 2);
   }
   if (kernel_ != nullptr && !use_kernel) DematerializeToMap();
   if (use_kernel) {
@@ -1124,19 +1166,30 @@ Status RegularChain::LoadState(serial::Reader* r) {
       cur_[i * lane_stride_] = 0.0;
       nxt_[i * lane_stride_] = 0.0;
     }
-    for (const auto& [key, p] : entries) {
+    for (const ChainState::Entry& e : s.entries) {
+      const Key key = key_of(e);
       const size_t a = (key.mask & kAcceptedFlag) != 0 ? 1 : 0;
       const size_t mi = static_cast<size_t>(k.MaskIndexOf(key.mask &
                                                           ~kAcceptedFlag));
       const uint64_t slot = simd_ ? k.slot_of[key.hidden] : key.hidden;
-      cur_[((a * M + mi) * k.R + slot) * lane_stride_] = p;
+      cur_[((a * M + mi) * k.R + slot) * lane_stride_] = e.p;
     }
   } else {
     states_.clear();
-    for (const auto& [key, p] : entries) states_[key] += p;
+    for (const ChainState::Entry& e : s.entries) states_[key_of(e)] += e.p;
   }
-  t_ = t;
+  t_ = s.t;
   status_ = Status::OK();
+}
+
+void RegularChain::SaveState(serial::Writer* w) const {
+  Export().Encode(*db_, w);
+}
+
+Status RegularChain::LoadState(serial::Reader* r) {
+  ChainState s = EmptyState();
+  LAHAR_RETURN_NOT_OK(s.Decode(r, *db_, nfa_->num_states()));
+  Import(s);
   return Status::OK();
 }
 

@@ -18,6 +18,10 @@
 //    reachable space exceeds ChainOptions::kernel budgets (or the kernel is
 //    disabled). Both paths enumerate successors in one canonical order, so
 //    their per-tick probabilities are bit-identical.
+//
+// The live distribution leaves and re-enters a chain only as a ChainState
+// value (Export / Import), whose one encoder and one validating decoder
+// serve every checkpoint, spill, promotion and restore.
 #ifndef LAHAR_ENGINE_REGULAR_ENGINE_H_
 #define LAHAR_ENGINE_REGULAR_ENGINE_H_
 
@@ -80,11 +84,54 @@ struct ChainOptions {
   bool lazy_materialize = false;
   /// Spill chains that idled `cold_after_ticks` ticks in a frozen
   /// (absorbing under empty input) state into a compact side arena of
-  /// checkpoint-encoded entries; rehydrate transparently on next evidence.
+  /// exported ChainState values; rehydrate transparently on next evidence.
   bool spill_cold_chains = false;
   /// Idle ticks (no participating-stream evidence) before a frozen chain
   /// is eligible to spill.
   uint32_t cold_after_ticks = 64;
+};
+
+/// \brief The live state of one RegularChain as a value: clock, accept
+/// tracking, hidden-code layout (one slot per Markovian participant: its
+/// stream and radix), and every nonzero (state set, hidden code) entry.
+/// Owns the checkpoint encoding; docs/RUNTIME.md "Chain state encoding".
+struct ChainState {
+  /// Bit 63 of an entry mask: the latched "accepted" flag.
+  static constexpr StateMask kAcceptedFlag = 1ULL << 63;
+  /// How far past 1 a probability may lie: rounding (and the 1e-6 slack
+  /// streams allow in a distribution's sum) can lift a near-certain entry
+  /// just above 1.
+  static constexpr double kProbSlack = 1e-6;
+  /// True for a finite p in [0, 1 + kProbSlack].
+  static bool ValidProb(double p) { return p >= 0.0 && p <= 1.0 + kProbSlack; }
+
+  struct Entry {
+    StateMask mask = 0;
+    uint64_t hidden = 0;  ///< sum of radix x digit over the slots
+    double p = 0.0;
+  };
+
+  Timestamp t = 0;
+  bool track = false;
+  std::vector<StreamId> markov_streams;  ///< per hidden slot
+  std::vector<uint64_t> radices;         ///< per hidden slot
+  std::vector<Entry> entries;            ///< ascending (mask, hidden)
+
+  /// Inline + heap bytes (the spill arena's accounting).
+  size_t bytes() const;
+
+  /// Writes the encoding, hidden codes as per-slot digits derived against
+  /// the streams' *current* domain sizes.
+  void Encode(const EventDatabase& db, serial::Writer* w) const;
+
+  /// Reads one encoding into this value, whose `markov_streams` must name
+  /// the receiving layout; `radices` become the running product of the
+  /// domain sizes the digits describe. Validates everything (slots,
+  /// domains, digits, masks against the automaton's `nfa_states`,
+  /// ValidProb) and returns InvalidArgument on a violation, after which
+  /// the value is unspecified.
+  Status Decode(serial::Reader* r, const EventDatabase& db,
+                size_t nfa_states);
 };
 
 /// \brief The Markov chain M(t) of Section 3.1.2 for one grounded regular
@@ -138,31 +185,10 @@ class RegularChain {
     return symbols_->participating();
   }
 
-  /// The compiled query automaton (shared, immutable). The extended
-  /// engine's lifecycle layer keeps a memoization-free copy to evolve
-  /// closed-form stubs without a live chain.
-  const std::shared_ptr<const QueryNfa>& nfa() const { return nfa_; }
-
   /// The symbol table (shared, immutable until RefreshSymbols swaps it).
   const std::shared_ptr<const SymbolTable>& symbols() const {
     return symbols_;
   }
-
-  /// \brief Creation-time facts the lifecycle layer needs to run a
-  /// binding's closed-form stub and synthesize its checkpoint bytes after
-  /// the chain itself has been dropped (see ExtendedRegularEngine).
-  struct ParticipantSummary {
-    StreamId stream = 0;
-    size_t position = 0;  ///< index into the chain's symbol table
-    bool markovian = false;
-  };
-  std::vector<ParticipantSummary> ParticipantSummaries() const;
-
-  /// Per-Markovian-participant radix multipliers (hidden-code layout).
-  const std::vector<uint64_t>& radices() const { return radices_; }
-
-  /// True once EnableAcceptTracking was called (the checkpoint track byte).
-  bool track_accept() const { return track_accept_; }
 
   /// True when this chain stepped onto a compiled kernel (vs. the map path).
   bool compiled() const { return kernel_ != nullptr; }
@@ -213,21 +239,23 @@ class RegularChain {
   /// chains for StepStripe. No-op on the map path.
   void BindArena(double* cur, double* nxt, size_t lane_stride = 1);
 
-  /// Serializes the live distribution for checkpointing: the clock, accept
-  /// tracking, and every nonzero (state set, hidden) pair in canonical
-  /// order. Hidden codes are stored as per-slot domain digits (not raw
-  /// mixed-radix codes), so a chain rebuilt over the restored database —
-  /// whose radices may differ if the domain grew after this chain was
-  /// created — re-encodes them for its own layout. Execution path (kernel
-  /// vs. map) is NOT part of the state: both are bit-identical, and the
-  /// restored chain uses whichever it was built with (dematerializing only
-  /// if the saved distribution doesn't fit its kernel).
+  /// The live distribution as a value (canonical entry order, this
+  /// chain's radices). Execution path (kernel vs. map) is NOT part of the
+  /// state: both are bit-identical.
+  ChainState Export() const;
+  /// Replaces the live distribution with `s`, which must come from Export
+  /// of a chain over the same grounding or from Decode against this chain's
+  /// layout. Hidden codes are re-encoded for this chain's radices exactly as
+  /// an Encode/Decode round trip would; the state lands on the kernel when
+  /// every entry fits it and on the map path otherwise.
+  void Import(const ChainState& s);
+
+  /// Checkpointing: Export().Encode and Decode-then-Import.
   void SaveState(serial::Writer* w) const;
   Status LoadState(serial::Reader* r);
 
  private:
-  // Bit 63 of the state mask is the latched "accepted" flag.
-  static constexpr StateMask kAcceptedFlag = 1ULL << 63;
+  static constexpr StateMask kAcceptedFlag = ChainState::kAcceptedFlag;
 
   struct Key {
     StateMask mask;
@@ -290,6 +318,8 @@ class RegularChain {
   // sharing it). On failure, latches status_ and keeps the old table.
   void RefreshSymbols();
   void FixupStorage(const RegularChain& o);
+  // This chain's hidden-code layout in an otherwise empty state.
+  ChainState EmptyState() const;
 
   std::shared_ptr<const QueryNfa> nfa_;
   std::shared_ptr<const SymbolTable> symbols_;
@@ -299,7 +329,6 @@ class RegularChain {
   std::vector<Participant> indep_participants_;
   // Per-step OR-distribution of independent streams' symbol masks.
   std::vector<std::pair<SymbolMask, double>> indep_dist_;
-  std::vector<uint64_t> radices_;  // per Markovian participant
   // Markovian domain sizes the kernel was compiled against (per hidden
   // slot); checked each step so a domain change falls back to the map path.
   std::vector<uint32_t> kernel_domains_;

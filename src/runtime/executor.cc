@@ -81,17 +81,7 @@ StreamRuntime::StreamRuntime(EventDatabase* db, RuntimeOptions options)
                        : std::max(1u, std::thread::hardware_concurrency())),
       window_cap_(std::max<size_t>(1, options.max_window_ticks)),
       queue_(options.queue_capacity),
-      // Shared units record one frontier probability per tick; delegated
-      // sessions may lag a whole window behind the unit, so the ring must
-      // cover window_cap_ ticks (plus slack for the arming tick).
-      registry_(db, options.session,
-                [&] {
-                  SharingOptions s = options.sharing;
-                  if (s.frontier_history < window_cap_ + 2) {
-                    s.frontier_history = window_cap_ + 2;
-                  }
-                  return s;
-                }()),
+      registry_(db, options.session, options.sharing, window_cap_),
       reorder_(options.reorder_window) {
   tick_ = db_->horizon();
   published_tick_ = tick_;

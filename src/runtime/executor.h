@@ -106,8 +106,7 @@ struct RuntimeOptions {
   /// and whether Safe/Unsafe queries may fall back to sampling).
   LaharOptions session;
   /// Cross-query shared evaluation (docs/SHARING.md). `sharing.enabled =
-  /// false` selects the bit-identical `unshared` verification mode. The
-  /// runtime raises `frontier_history` to cover its window size.
+  /// false` selects the bit-identical `unshared` verification mode.
   SharingOptions sharing;
 };
 

@@ -5,10 +5,14 @@
 namespace lahar {
 
 QueryRegistry::QueryRegistry(EventDatabase* db, LaharOptions options,
-                             SharingOptions sharing)
+                             SharingOptions sharing, size_t window_ticks)
     : db_(db),
       options_(std::move(options)),
       sharing_(sharing),
+      // Shared units record one frontier probability per tick; delegated
+      // sessions may lag a whole window behind the unit, so the ring covers
+      // the window plus slack for the arming tick.
+      frontier_history_(window_ticks + 2),
       shared_kernels_(std::make_shared<KernelCache>()),
       shared_rows_(std::make_shared<TransitionRowPool>()) {
   // Safe plans compile their reg leaves through the registry-wide cache
@@ -177,7 +181,7 @@ void QueryRegistry::AttachSharing(StandingQuery* q) {
       // Materialize lazily at the second member, seeded from the NEW
       // member's caught-up chain (deterministic stepping makes every
       // member's chain state identical, so any member can seed).
-      pool.unit = s->MakeSharedUnit(i, sharing_.frontier_history);
+      pool.unit = s->MakeSharedUnit(i, frontier_history_);
       if (pool.unit == nullptr) continue;  // errored chain: stay private
       for (UnitMember& m : pool.members) {
         m.delegated = m.query->session->DelegateUnit(m.unit, pool.unit);

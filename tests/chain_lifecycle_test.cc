@@ -10,9 +10,16 @@
 // stripe-aware sharding guarantee: executor rebalances and steals never
 // shear a lane-interleaved stripe, so stripe counters match a sequential
 // replay exactly.
+//
+// The chain-state codec tests pin down the other half of the contract: a
+// corrupt or truncated chain snapshot — in a raw engine snapshot, a safe
+// session, or a runtime checkpoint — fails its load with a Status instead
+// of crashing a later Step, and anything that does load steps to finite
+// probabilities.
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cmath>
 #include <functional>
 #include <string>
 #include <thread>
@@ -23,6 +30,7 @@
 #include "automaton/rows.h"
 #include "common/serial.h"
 #include "engine/extended_engine.h"
+#include "engine/session.h"
 #include "engine/streaming.h"
 #include "runtime/executor.h"
 #include "runtime/replay.h"
@@ -348,6 +356,405 @@ TEST(ChainLifecycleTest, SimdChainsRehydrateOntoSimdPath) {
   dense->SaveState(&wd);
   cycle->SaveState(&wc);
   EXPECT_EQ(wd.str(), wc.str());
+}
+
+// A Markovian At-stream for `key` that is certainly absent at t = 1 and
+// moves between bottom, 'a' and 'b' from t = 2 on (exact binary fractions).
+void AddLateMarkovStream(EventDatabase* db, const std::string& key,
+                         Timestamp horizon) {
+  ::lahar::testing::DeclareUnarySchema(db, "At");
+  Stream s(db->interner().Intern("At"), {db->Sym(key)}, 1, horizon,
+           /*markovian=*/true);
+  s.InternTuple({db->Sym("a")});
+  s.InternTuple({db->Sym("b")});
+  EXPECT_TRUE(s.SetInitial({1.0, 0.0, 0.0}).ok());
+  Matrix cpt(3, 3, 0.0);
+  cpt.At(0, 0) = 0.5;
+  cpt.At(0, 1) = 0.25;
+  cpt.At(0, 2) = 0.25;
+  cpt.At(1, 1) = 0.75;
+  cpt.At(1, 2) = 0.25;
+  cpt.At(2, 0) = 0.5;
+  cpt.At(2, 2) = 0.5;
+  for (Timestamp t = 1; t < horizon; ++t) EXPECT_TRUE(s.SetCpt(t, cpt).ok());
+  EXPECT_TRUE(s.FinalizeMarkov().ok());
+  EXPECT_TRUE(db->AddStream(std::move(s)).ok());
+}
+
+TEST(ChainLifecycleTest, MarkovSlotsPromoteSpillAndRestoreBitIdentically) {
+  // "m" is Markovian and certain-bottom at t = 1, so a lazy engine keeps it
+  // as a stub until t = 2 and then promotes it with a Markovian hidden
+  // slot; its stream ends at t = 12, after which it goes quiet and may
+  // spill with that slot. The independent keys go cold and spill around it.
+  const Timestamp horizon = 24;
+  EventDatabase db;
+  AddLateMarkovStream(&db, "m", 12);
+  AddScheduledStream(&db, "cold", horizon,
+                     [](Timestamp t) { return t <= 3; });
+  AddScheduledStream(&db, "wake", horizon,
+                     [](Timestamp t) { return t <= 2 || t > 18; });
+  AddScheduledStream(&db, "never", horizon, [](Timestamp) { return false; });
+
+  const std::vector<ChainOptions> configs = {
+      ChainOptions{}, Lifecycle(/*lazy=*/true, /*spill=*/false, 3),
+      Lifecycle(/*lazy=*/false, /*spill=*/true, 3)};
+  std::vector<ExtendedRegularEngine> engines;
+  for (const ChainOptions& opts : configs) {
+    auto e = MakeEngine(&db, opts);
+    ASSERT_OK(e.status());
+    engines.push_back(std::move(*e));
+  }
+  ExtendedRegularEngine& dense = engines[0];
+  ExtendedRegularEngine& lazy = engines[1];
+  ExtendedRegularEngine& spill = engines[2];
+  ASSERT_EQ(dense.num_chains(), 4u);
+
+  std::vector<double> expected(horizon + 1, 0.0);
+  std::vector<std::string> snaps(horizon + 1);
+  for (Timestamp t = 1; t <= horizon; ++t) {
+    expected[t] = dense.Step();
+    serial::Writer wd;
+    dense.SaveState(&wd);
+    snaps[t] = wd.str();
+    for (size_t c = 1; c < engines.size(); ++c) {
+      EXPECT_EQ(expected[t], engines[c].Step()) << "config=" << c
+                                                << " t=" << t;
+      serial::Writer w;
+      engines[c].SaveState(&w);
+      EXPECT_EQ(snaps[t], w.str()) << "config=" << c << " t=" << t;
+    }
+    if (t == 1) {
+      EXPECT_EQ(lazy.num_stub(), 2u);  // "m" and "never"
+    } else if (t == 2) {
+      EXPECT_EQ(lazy.num_stub(), 1u);  // "m" promoted
+    }
+  }
+  for (const ExtendedRegularEngine& e : engines) ASSERT_OK(e.ChainStatus());
+  EXPECT_GE(lazy.promotions(), 3u);
+  EXPECT_GE(spill.spills(), 2u);
+  EXPECT_GE(spill.rehydrations(), 1u);  // "wake" at t = 19
+  // Only "wake" is loud at the end: "m" parked with its Markovian slot.
+  EXPECT_EQ(spill.num_resident(), 1u);
+
+  // Every tick's snapshot restores into every configuration and continues
+  // bit-identically to the uninterrupted dense run.
+  for (Timestamp at = 1; at < horizon; ++at) {
+    for (size_t c = 0; c < configs.size(); ++c) {
+      auto restored = MakeEngine(&db, configs[c]);
+      ASSERT_OK(restored.status());
+      serial::Reader r(snaps[at]);
+      ASSERT_OK(restored->LoadState(&r));
+      for (Timestamp t = at + 1; t <= horizon; ++t) {
+        EXPECT_EQ(expected[t], restored->Step())
+            << "config=" << c << " restored at " << at << " t=" << t;
+      }
+      ASSERT_OK(restored->ChainStatus());
+      serial::Writer w;
+      restored->SaveState(&w);
+      EXPECT_EQ(snaps[horizon], w.str())
+          << "config=" << c << " restored at " << at;
+    }
+  }
+}
+
+// --- chain-state codec: corrupt snapshots fail cleanly --------------------
+
+constexpr StateMask kBeyondAutomaton = (StateMask{1} << 40) | 1;
+constexpr StateMask kAcceptedFlag = StateMask{1} << 63;
+
+// A one-binding engine snapshot at t = 0 whose chain holds `entries`
+// entries of (mask, p) under `track`, with no Markovian slots.
+std::string OneChainSnapshot(StateMask mask, double p, uint8_t track,
+                             uint64_t entries = 1) {
+  serial::Writer w;
+  w.U32(0);            // engine clock
+  w.DoubleVec({0.0});  // per-chain probabilities
+  w.U64(1);            // chains
+  w.U32(0);            // chain clock
+  w.U8(track);
+  w.U64(0);  // Markovian slots
+  w.U64(entries);
+  w.U64(mask);
+  w.F64(p);
+  return w.str();
+}
+
+// Loads OneChainSnapshot into a fresh one-binding engine; a snapshot that
+// loads must then step to valid probabilities.
+Status LoadOneChain(const ChainOptions& opts, const std::string& snapshot) {
+  EventDatabase db;
+  AddScheduledStream(&db, "solo", 6, [](Timestamp) { return true; });
+  auto engine = MakeEngine(&db, opts);
+  if (!engine.ok()) return engine.status();
+  serial::Reader r(snapshot);
+  LAHAR_RETURN_NOT_OK(engine->LoadState(&r));
+  for (int k = 0; k < 3; ++k) {
+    const double p = engine->Step();
+    if (!ChainState::ValidProb(p)) {
+      return Status::Internal("stepped to " + std::to_string(p));
+    }
+  }
+  return engine->ChainStatus();
+}
+
+TEST(ChainStateCodecTest, CorruptChainEntriesFailLoadCleanly) {
+  struct Case {
+    const char* what;
+    std::string snapshot;
+  };
+  const std::vector<Case> bad = {
+      {"mask beyond the automaton", OneChainSnapshot(kBeyondAutomaton, 1, 0)},
+      {"NaN probability", OneChainSnapshot(1, std::nan(""), 0)},
+      {"negative probability", OneChainSnapshot(1, -5.0, 0)},
+      {"probability above one", OneChainSnapshot(1, 2.0, 0)},
+      {"accepted flag without tracking",
+       OneChainSnapshot(1 | kAcceptedFlag, 1.0, 0)},
+      {"track byte other than 0/1", OneChainSnapshot(1, 1.0, 2)},
+      {"entry count past the end",
+       OneChainSnapshot(1, 1.0, 0, uint64_t{1} << 60)},
+  };
+  const std::vector<ChainOptions> configs = {
+      ChainOptions{}, Lifecycle(/*lazy=*/false, /*spill=*/true),
+      Lifecycle(/*lazy=*/true, /*spill=*/true)};
+  for (size_t c = 0; c < configs.size(); ++c) {
+    // Controls: the initial state loads and steps, with and without the
+    // accepted flag under tracking.
+    EXPECT_OK(LoadOneChain(configs[c], OneChainSnapshot(1, 1.0, 0)));
+    // Rounding can leave a certain entry one ulp above 1.
+    EXPECT_OK(LoadOneChain(configs[c],
+                           OneChainSnapshot(1, std::nextafter(1.0, 2.0), 0)));
+    EXPECT_OK(
+        LoadOneChain(configs[c], OneChainSnapshot(1 | kAcceptedFlag, 1.0, 1)));
+    for (const Case& k : bad) {
+      const Status s = LoadOneChain(configs[c], k.snapshot);
+      EXPECT_EQ(s.code(), StatusCode::kInvalidArgument)
+          << "config=" << c << " " << k.what << ": " << s.ToString();
+    }
+  }
+}
+
+// Offset of the first entry's mask in the first chain encoding inside
+// `blob` that has no Markovian slots: u32 t, u8 track, u64 slots = 0,
+// u64 n, then n (u64 mask, f64 p) entries. Found by scanning for the first
+// offset where that layout parses with plausible values (start state in
+// the first mask, first p in (0, 1]); npos when none does.
+size_t FindChainEntry(const std::string& blob, Timestamp max_t) {
+  for (size_t o = 0; o < blob.size(); ++o) {
+    serial::Reader r(std::string_view(blob).substr(o));
+    uint32_t t;
+    uint8_t track;
+    uint64_t slots, n, mask;
+    double p;
+    if (r.U32(&t).ok() && t <= max_t && r.U8(&track).ok() && track <= 1 &&
+        r.U64(&slots).ok() && slots == 0 && r.U64(&n).ok() && n >= 1 &&
+        n <= 64 && r.remaining() >= n * 16 && r.U64(&mask).ok() &&
+        (mask & 1) != 0 && mask < (StateMask{1} << 32) && r.F64(&p).ok() &&
+        p > 0.0 && p <= 1.0) {
+      return o + 4 + 1 + 8 + 8;
+    }
+  }
+  return std::string::npos;
+}
+
+void OverwriteU64(std::string* blob, size_t offset, uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    (*blob)[offset + i] = static_cast<char>((v >> (8 * i)) & 0xFF);
+  }
+}
+
+TEST(ChainStateCodecTest, SafeRegLeafWithBadMaskFailsLoad) {
+  const Timestamp horizon = 8;
+  EventDatabase db;
+  std::vector<StepDist> r1, s1, tt;
+  for (Timestamp t = 1; t <= horizon; ++t) {
+    r1.push_back({{"u", 0.5}});
+    s1.push_back({{"v", 0.25}});
+    tt.push_back(t % 2 == 0 ? StepDist{{"w", 0.5}} : StepDist{});
+  }
+  AddIndependentStream(&db, "R", "k1", r1);
+  AddIndependentStream(&db, "S", "k1", s1);
+  AddIndependentStream(&db, "T", "a", tt);
+  auto prepared = PrepareQuery("R(x, u1); S(x, u2); T('a', y)", &db);
+  ASSERT_OK(prepared.status());
+  LaharOptions opts;
+  opts.allow_sampling_fallback = false;
+  auto session = CreateQuerySession(&db, *prepared, opts);
+  ASSERT_OK(session.status());
+  ASSERT_EQ((*session)->engine_kind(), EngineKind::kSafePlan);
+  for (int k = 0; k < 4; ++k) ASSERT_OK((*session)->Advance().status());
+  serial::Writer w;
+  ASSERT_OK((*session)->SaveState(&w));
+  std::string blob = w.str();
+
+  auto fresh = [&] {
+    auto s = CreateQuerySession(&db, *prepared, opts);
+    EXPECT_TRUE(s.ok());
+    return std::move(*s);
+  };
+  {
+    serial::Reader r(blob);
+    ASSERT_OK(fresh()->LoadState(&r));  // control
+  }
+  const size_t at = FindChainEntry(blob, 4);
+  ASSERT_NE(at, std::string::npos);
+  OverwriteU64(&blob, at, kBeyondAutomaton);
+  serial::Reader r(blob);
+  const Status s = fresh()->LoadState(&r);
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+  EXPECT_NE(s.ToString().find("beyond the automaton"), std::string::npos)
+      << s.ToString();
+}
+
+// A runtime checkpoint split at its per-query section (runtime/checkpoint.h).
+struct CheckpointParts {
+  std::string head;  // magic through the query count
+  struct Query {
+    uint64_t id = 0;
+    std::string text;
+    uint8_t has_state = 0;
+    std::string blob;
+  };
+  std::vector<Query> queries;
+
+  std::string Join() const {
+    serial::Writer w;
+    for (const Query& q : queries) {
+      w.U64(q.id);
+      w.Str(q.text);
+      w.U8(q.has_state);
+      if (q.has_state != 0) w.Str(q.blob);
+    }
+    return head + w.str();
+  }
+};
+
+Result<CheckpointParts> SplitCheckpoint(const std::string& snapshot) {
+  serial::Reader r(snapshot);
+  uint32_t word;
+  LAHAR_RETURN_NOT_OK(r.U32(&word));  // magic
+  LAHAR_RETURN_NOT_OK(r.U32(&word));  // version
+  LAHAR_RETURN_NOT_OK(EventDatabase::LoadFrom(&r).status());
+  LAHAR_RETURN_NOT_OK(r.U32(&word));  // tick
+  uint64_t n;
+  LAHAR_RETURN_NOT_OK(r.U64(&n));
+  for (uint64_t i = 0; i < n; ++i) LAHAR_RETURN_NOT_OK(r.U32(&word));
+  LAHAR_RETURN_NOT_OK(r.U64(&n));
+  CheckpointParts parts;
+  parts.head = snapshot.substr(0, snapshot.size() - r.remaining());
+  parts.queries.resize(n);
+  for (CheckpointParts::Query& q : parts.queries) {
+    LAHAR_RETURN_NOT_OK(r.U64(&q.id));
+    LAHAR_RETURN_NOT_OK(r.Str(&q.text));
+    LAHAR_RETURN_NOT_OK(r.U8(&q.has_state));
+    if (q.has_state != 0) LAHAR_RETURN_NOT_OK(r.Str(&q.blob));
+  }
+  return parts;
+}
+
+// Feeds `archive`'s first `ticks` batches through a one-thread runtime
+// serving `queries` and returns the checkpoint taken after it stopped.
+std::string CheckpointAfter(const EventDatabase& archive,
+                            const std::vector<std::string>& queries,
+                            Timestamp ticks, const ChainOptions& chain) {
+  auto live = CloneDeclarations(archive);
+  EXPECT_TRUE(live.ok());
+  auto batches = ExtractBatches(archive);
+  EXPECT_TRUE(batches.ok());
+  RuntimeOptions options;
+  options.num_threads = 1;
+  options.session.chain = chain;
+  StreamRuntime runtime(live->get(), options);
+  for (const std::string& q : queries) EXPECT_TRUE(runtime.Register(q).ok());
+  runtime.Start();
+  for (Timestamp t = 0; t < ticks; ++t) {
+    EXPECT_OK(runtime.ingest().Push(std::move((*batches)[t]), 10000ms));
+  }
+  EXPECT_TRUE(runtime.WaitForTick(ticks, 10000ms));
+  runtime.Stop();
+  auto snap = runtime.Checkpoint();
+  EXPECT_TRUE(snap.ok());
+  return snap.ok() ? *snap : std::string();
+}
+
+TEST(ChainStateCodecTest, RuntimeRestoreRejectsBadChainBlob) {
+  const Timestamp horizon = 8;
+  EventDatabase archive;
+  AddScheduledStream(&archive, "k0", horizon, [](Timestamp) { return true; });
+  const std::vector<std::string> queries = {"At('k0', l : l = 'a')"};
+  const std::string snapshot =
+      CheckpointAfter(archive, queries, 4, ChainOptions{});
+  auto parts = SplitCheckpoint(snapshot);
+  ASSERT_OK(parts.status());
+  ASSERT_EQ(parts->queries.size(), 1u);
+  ASSERT_EQ(parts->queries[0].has_state, 1u);
+  ASSERT_EQ(parts->Join(), snapshot);
+
+  const size_t at = FindChainEntry(parts->queries[0].blob, 4);
+  ASSERT_NE(at, std::string::npos);
+  OverwriteU64(&parts->queries[0].blob, at, kBeyondAutomaton);
+  auto clone = CloneDeclarations(archive);
+  ASSERT_OK(clone.status());
+  StreamRuntime runtime(clone->get(), RuntimeOptions{});
+  const Status s = runtime.Restore(parts->Join());
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+  EXPECT_NE(s.ToString().find("beyond the automaton"), std::string::npos)
+      << s.ToString();
+}
+
+TEST(ChainStateCodecTest, ByteCorruptionSweepFailsOrStaysFinite) {
+  // Real session blobs of a Regular query (over a Markovian key) and an
+  // Extended query, checkpointed by runtimes with default and lazy + spill
+  // chain options. Every truncation and every single-byte flip of each
+  // blob must either fail LoadState with a Status or load into a session
+  // that then advances five ticks to finite probabilities.
+  const Timestamp horizon = 14;
+  const Timestamp at = 8;
+  EventDatabase archive;
+  AddLateMarkovStream(&archive, "m", horizon);
+  AddScheduledStream(&archive, "cold", horizon,
+                     [](Timestamp t) { return t <= 2; });
+  AddScheduledStream(&archive, "busy", horizon,
+                     [](Timestamp t) { return t % 3 != 0; });
+  AddScheduledStream(&archive, "never", horizon,
+                     [](Timestamp) { return false; });
+  const std::vector<std::string> queries = {
+      "At('m', l1 : l1 = 'a'); At('m', l2 : l2 = 'b')", kQuery};
+
+  for (const ChainOptions& chain :
+       {ChainOptions{}, Lifecycle(/*lazy=*/true, /*spill=*/true, 2)}) {
+    auto parts = SplitCheckpoint(CheckpointAfter(archive, queries, at, chain));
+    ASSERT_OK(parts.status());
+    ASSERT_EQ(parts->queries.size(), queries.size());
+    LaharOptions opts;
+    opts.chain = chain;
+    for (const CheckpointParts::Query& q : parts->queries) {
+      ASSERT_EQ(q.has_state, 1u) << q.text;
+      auto prepared = PrepareQuery(q.text, &archive);
+      ASSERT_OK(prepared.status());
+      // Returns LoadState's status; a load that succeeds must advance.
+      auto load = [&](std::string_view bytes) -> Status {
+        auto session = CreateQuerySession(&archive, *prepared, opts);
+        LAHAR_RETURN_NOT_OK(session.status());
+        serial::Reader r(bytes);
+        LAHAR_RETURN_NOT_OK((*session)->LoadState(&r));
+        for (int k = 0; k < 5; ++k) {
+          auto p = (*session)->Advance();
+          EXPECT_TRUE(p.ok()) << p.status().ToString();
+          if (!p.ok()) break;
+          EXPECT_TRUE(std::isfinite(*p)) << *p;
+        }
+        return Status::OK();
+      };
+      ASSERT_OK(load(q.blob));  // control: the intact blob loads
+      for (size_t o = 0; o < q.blob.size(); ++o) {
+        SCOPED_TRACE(q.text + " offset " + std::to_string(o));
+        EXPECT_FALSE(load(std::string_view(q.blob).substr(0, o)).ok());
+        std::string flipped = q.blob;
+        flipped[o] = static_cast<char>(flipped[o] ^ 0xFF);
+        (void)load(flipped);
+      }
+    }
+  }
 }
 
 // --- runtime stress (tsan/asan presets) -----------------------------------
