@@ -46,8 +46,8 @@ int main() {
   Lahar viterbi_lahar(markov_db->get());
   auto prepared = viterbi_lahar.Prepare(query);
   if (!prepared.ok()) return 1;
-  auto viterbi_engine = DeterministicEngine::Create(
-      prepared->ast, **markov_db, Determinization::kViterbi);
+  auto viterbi_engine = SamplingEngine::Determinized(
+      *prepared, **markov_db, Determinization::kViterbi);
   if (!viterbi_engine.ok()) return 1;
   auto viterbi_sat = viterbi_engine->Run();
   if (!viterbi_sat.ok()) return 1;

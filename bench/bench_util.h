@@ -12,8 +12,8 @@
 #include <string>
 #include <vector>
 
-#include "engine/deterministic_engine.h"
 #include "engine/lahar.h"
+#include "engine/sampling_engine.h"
 #include "metrics/quality.h"
 #include "sim/scenarios.h"
 
@@ -43,11 +43,11 @@ inline std::vector<Timestamp> BaselineEvents(EventDatabase* db,
   Lahar lahar(db);
   auto prepared = lahar.Prepare(query);
   if (!prepared.ok()) return {};
-  auto engine = DeterministicEngine::Create(prepared->ast, *db, mode);
+  auto engine = SamplingEngine::Determinized(*prepared, *db, mode);
   if (!engine.ok()) return {};
   auto sat = engine->Run();
   if (!sat.ok()) return {};
-  return DetectionEvents(*sat);
+  return DetectionEvents(*sat, 0.5);
 }
 
 /// The pipeline configuration used by the quality experiments; calibrated

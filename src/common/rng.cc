@@ -47,17 +47,17 @@ uint64_t Rng::Below(uint64_t n) {
   }
 }
 
-size_t Rng::Categorical(const std::vector<double>& weights) {
+size_t Rng::Categorical(const double* weights, size_t n) {
   double total = 0;
-  for (double w : weights) total += w;
-  if (total <= 0) return weights.size();
+  for (size_t i = 0; i < n; ++i) total += weights[i];
+  if (total <= 0) return n;
   double u = Uniform() * total;
   double acc = 0;
-  for (size_t i = 0; i < weights.size(); ++i) {
+  for (size_t i = 0; i < n; ++i) {
     acc += weights[i];
     if (u < acc) return i;
   }
-  return weights.size() - 1;  // Floating-point slack lands on the last index.
+  return n - 1;  // Floating-point slack lands on the last index.
 }
 
 size_t Rng::SparseCategorical(const uint32_t* cols, const double* sums,

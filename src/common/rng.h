@@ -27,9 +27,14 @@ class Rng {
   /// Uniform integer in [0, n). Requires n > 0.
   uint64_t Below(uint64_t n);
 
-  /// Samples an index from an unnormalized non-negative weight vector.
-  /// Returns weights.size() if all weights are zero.
-  size_t Categorical(const std::vector<double>& weights);
+  /// Samples an index from `n` unnormalized non-negative weights (read in
+  /// place, e.g. a CPT row). Returns n if all weights are zero.
+  size_t Categorical(const double* weights, size_t n);
+
+  /// Categorical over a whole weight vector; the same draw.
+  size_t Categorical(const std::vector<double>& weights) {
+    return Categorical(weights.data(), weights.size());
+  }
 
   /// Categorical over a dense vector of `n` weights given only its nonzero
   /// entries: `cols[k]` is the k-th nonzero index (increasing) and `sums[k]`

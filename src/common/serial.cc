@@ -1,5 +1,6 @@
 #include "common/serial.h"
 
+#include <array>
 #include <cstring>
 
 namespace lahar {
@@ -104,6 +105,23 @@ Status Reader::DoubleVec(std::vector<double>* out) {
     out->push_back(d);
   }
   return Status::OK();
+}
+
+uint32_t Crc32(std::string_view data) {
+  static const auto kTable = [] {
+    std::array<uint32_t, 256> table{};
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) c = (c >> 1) ^ ((c & 1) ? 0xEDB88320U : 0);
+      table[i] = c;
+    }
+    return table;
+  }();
+  uint32_t crc = 0xFFFFFFFFU;
+  for (char ch : data) {
+    crc = kTable[(crc ^ static_cast<uint8_t>(ch)) & 0xFF] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFU;
 }
 
 }  // namespace serial

@@ -64,6 +64,9 @@ class Reader {
   size_t pos_ = 0;
 };
 
+/// CRC-32 (IEEE 802.3, reflected, the zlib checksum) of `data`.
+uint32_t Crc32(std::string_view data);
+
 }  // namespace serial
 }  // namespace lahar
 

@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "analysis/bindings.h"
+#include "inference/viterbi.h"
 
 namespace lahar {
 
@@ -12,26 +13,16 @@ size_t HoeffdingSamples(double epsilon, double delta) {
       std::ceil(std::log(2.0 / delta) / (2.0 * epsilon * epsilon)));
 }
 
-Result<SamplingEngine> SamplingEngine::Create(const PreparedQuery& prepared,
-                                              const EventDatabase& db,
-                                              const SamplingOptions& options) {
+Result<SamplingEngine> SamplingEngine::Build(const PreparedQuery& prepared,
+                                             const EventDatabase& db,
+                                             size_t num_samples) {
   if (prepared.ast == nullptr) return Status::InvalidArgument("null query");
-  if (!std::isfinite(options.epsilon) || !(options.epsilon > 0)) {
-    return Status::InvalidArgument("sampling epsilon must be finite and > 0");
-  }
-  if (!(options.delta > 0 && options.delta < 1)) {
-    return Status::InvalidArgument("sampling delta must lie in (0, 1)");
-  }
   SamplingEngine engine;
   engine.query_ = prepared.ast;
   engine.db_ = &db;
-  engine.horizon_ = db.horizon();
-  engine.num_samples_ = options.num_samples > 0
-                            ? options.num_samples
-                            : HoeffdingSamples(options.epsilon, options.delta);
-  engine.seed_ = options.seed;
-  engine.accepted_.assign(engine.num_samples_, 0);
-  engine.sample_status_.assign(engine.num_samples_, Status::OK());
+  engine.num_samples_ = num_samples;
+  engine.accepted_.assign(num_samples, 0);
+  engine.sample_status_.assign(num_samples, Status::OK());
 
   // Try the incremental NFA path: every grounding must be regular.
   const QueryClass cls = prepared.classification.query_class;
@@ -67,57 +58,86 @@ Result<SamplingEngine> SamplingEngine::Create(const PreparedQuery& prepared,
       }
       engine.chain_slots_ = std::move(chain_slots);
       for (GroundedChain& chain : engine.chains_) {
-        chain.states.assign(engine.num_samples_, chain.nfa->InitialStates());
+        chain.states.assign(num_samples, chain.nfa->InitialStates());
       }
       engine.values_.assign(
-          engine.num_samples_ * std::max<size_t>(1, slot_of_stream.size()),
-          kBottom);
-      Rng seeder(engine.seed_);
-      for (size_t i = 0; i < engine.num_samples_; ++i) {
-        engine.sample_rngs_.push_back(seeder.Split());
-      }
+          num_samples * std::max<size_t>(1, slot_of_stream.size()), kBottom);
       return engine;
     }
     engine.chains_.clear();
   }
-  // General path: batch per-world reference evaluation in Run(), per-tick
-  // world-prefix extension in Step(). Seeded identically to the NFA path so
-  // incremental estimates are reproducible.
-  Rng seeder(engine.seed_);
-  for (size_t i = 0; i < engine.num_samples_; ++i) {
-    engine.sample_rngs_.push_back(seeder.Split());
-  }
-  engine.worlds_.resize(engine.num_samples_);
+  // General path: per-world reference evaluation over world prefixes.
+  engine.worlds_.resize(num_samples);
   return engine;
 }
 
-void SamplingEngine::StepNfaSample(size_t i, Timestamp next,
-                                   std::vector<double>* row) {
-  const size_t num_slots = slot_streams_.size();
+Result<SamplingEngine> SamplingEngine::Create(const PreparedQuery& prepared,
+                                              const EventDatabase& db,
+                                              const SamplingOptions& options) {
+  if (!std::isfinite(options.epsilon) || !(options.epsilon > 0)) {
+    return Status::InvalidArgument("sampling epsilon must be finite and > 0");
+  }
+  if (!(options.delta > 0 && options.delta < 1)) {
+    return Status::InvalidArgument("sampling delta must lie in (0, 1)");
+  }
+  LAHAR_ASSIGN_OR_RETURN(
+      SamplingEngine engine,
+      Build(prepared, db,
+            options.num_samples > 0
+                ? options.num_samples
+                : HoeffdingSamples(options.epsilon, options.delta)));
+  Rng seeder(options.seed);
+  for (size_t i = 0; i < engine.num_samples_; ++i) {
+    engine.sample_rngs_.push_back(seeder.Split());
+  }
+  return engine;
+}
+
+Result<SamplingEngine> SamplingEngine::Determinized(
+    const PreparedQuery& prepared, const EventDatabase& db,
+    Determinization mode) {
+  LAHAR_ASSIGN_OR_RETURN(SamplingEngine engine, Build(prepared, db, 1));
+  // Only the streams the path draws pay for determinization.
+  engine.paths_.resize(db.num_streams());
+  auto determinize = [&](StreamId s) {
+    engine.paths_[s] = mode == Determinization::kViterbi
+                           ? ViterbiPath(db.stream(s))
+                           : MlePath(db.stream(s));
+  };
+  if (engine.incremental()) {
+    for (StreamId s : engine.slot_streams_) determinize(s);
+  } else {
+    for (StreamId s = 0; s < db.num_streams(); ++s) determinize(s);
+  }
+  return engine;
+}
+
+DomainIndex SamplingEngine::Draw(size_t i, StreamId s, Timestamp t,
+                                 DomainIndex prev) {
+  if (!paths_.empty()) {
+    const std::vector<DomainIndex>& path = paths_[s];
+    return t < path.size() ? path[t] : kBottom;
+  }
+  const Stream& stream = db_->stream(s);
+  if (t > stream.horizon()) return kBottom;  // the stream has ended
   Rng& rng = sample_rngs_[i];
+  if (stream.markovian() && t > 1) {
+    const Matrix& cpt = stream.CptAt(t - 1);
+    const size_t d = rng.Categorical(cpt.Row(prev), cpt.cols());
+    return d >= cpt.cols() ? kBottom : static_cast<DomainIndex>(d);
+  }
+  const std::vector<double>& m = stream.MarginalAt(t);
+  if (m.empty()) return kBottom;
+  const size_t d = rng.Categorical(m);
+  return d >= m.size() ? kBottom : static_cast<DomainIndex>(d);
+}
+
+void SamplingEngine::StepNfaSample(size_t i, Timestamp next) {
+  const size_t num_slots = slot_streams_.size();
   DomainIndex* vals = &values_[i * std::max<size_t>(1, num_slots)];
-  // Sample each participating stream's next value exactly once.
+  // Draw each participating stream's next value exactly once, in slot order.
   for (size_t slot = 0; slot < num_slots; ++slot) {
-    const Stream& s = db_->stream(slot_streams_[slot]);
-    if (next > s.horizon()) {
-      vals[slot] = kBottom;
-      continue;
-    }
-    if (s.markovian() && next > 1) {
-      const Matrix& cpt = s.CptAt(next - 1);
-      const double* r = cpt.Row(vals[slot]);
-      row->assign(r, r + cpt.cols());
-      size_t d = rng.Categorical(*row);
-      vals[slot] = d >= row->size() ? kBottom : static_cast<DomainIndex>(d);
-    } else {
-      const auto& m = s.MarginalAt(next);
-      if (m.empty()) {
-        vals[slot] = kBottom;
-      } else {
-        size_t d = rng.Categorical(m);
-        vals[slot] = d >= m.size() ? kBottom : static_cast<DomainIndex>(d);
-      }
-    }
+    vals[slot] = Draw(i, slot_streams_[slot], next, vals[slot]);
   }
   // Advance every chain; the sample satisfies q@t if any chain accepts.
   bool any = false;
@@ -134,51 +154,25 @@ void SamplingEngine::StepNfaSample(size_t i, Timestamp next,
   accepted_[i] = any ? 1 : 0;
 }
 
-Status SamplingEngine::StepWorldSample(size_t i, Timestamp next) {
-  // Extend the sample's world prefix through `next` — and no further, even
-  // when streams already hold later timesteps (the windowed executor
-  // applies batches ahead of execution). Capping at `next` fixes the RNG
-  // consumption order to one draw per (sample, stream, tick) in tick
-  // order, so estimates are bit-identical no matter how far ingestion has
-  // run ahead of the tick being executed. Forward-samples exactly as
-  // Stream::SampleTrajectory does, then re-evaluates the reference
-  // semantics on the (deterministic) prefix.
+void SamplingEngine::ExtendWorld(size_t i, Timestamp to) {
   World& w = worlds_[i];
-  Rng& rng = sample_rngs_[i];
   if (w.values.size() < db_->num_streams()) {
     w.values.resize(db_->num_streams());
   }
-  for (StreamId s = 0; s < db_->num_streams(); ++s) {
-    const Stream& stream = db_->stream(s);
-    const Timestamp limit = std::min<Timestamp>(stream.horizon(), next);
-    std::vector<DomainIndex>& traj = w.values[s];
-    if (traj.empty()) traj.push_back(kBottom);  // index 0 unused
-    for (Timestamp t = static_cast<Timestamp>(traj.size());
-         t <= limit; ++t) {
-      if (stream.markovian() && t > 1) {
-        const Matrix& cpt = stream.CptAt(t - 1);
-        const double* r = cpt.Row(traj[t - 1]);
-        std::vector<double> row(r, r + cpt.cols());
-        size_t d = rng.Categorical(row);
-        traj.push_back(d >= row.size() ? kBottom
-                                       : static_cast<DomainIndex>(d));
-      } else {
-        const auto& m = stream.MarginalAt(t);
-        if (m.empty()) {
-          traj.push_back(kBottom);
-        } else {
-          size_t d = rng.Categorical(m);
-          traj.push_back(d >= m.size() ? kBottom
-                                       : static_cast<DomainIndex>(d));
-        }
+  // Tick-major: tick `next` draws every stream in id order, first catching
+  // up any stream whose earlier ticks arrived late.
+  for (Timestamp next = t_ + 1; next <= to; ++next) {
+    for (StreamId s = 0; s < db_->num_streams(); ++s) {
+      const Timestamp limit =
+          std::min<Timestamp>(db_->stream(s).horizon(), next);
+      std::vector<DomainIndex>& traj = w.values[s];
+      if (traj.empty()) traj.push_back(kBottom);  // index 0 unused
+      for (Timestamp t = static_cast<Timestamp>(traj.size()); t <= limit;
+           ++t) {
+        traj.push_back(Draw(i, s, t, traj[t - 1]));
       }
     }
   }
-  LAHAR_ASSIGN_OR_RETURN(std::vector<bool> sat,
-                         SatisfiedAt(*query_, *db_, w));
-  accepted_[i] =
-      next < static_cast<Timestamp>(sat.size()) && sat[next] ? 1 : 0;
-  return Status::OK();
 }
 
 Status SamplingEngine::PrepareStep() {
@@ -193,22 +187,24 @@ Status SamplingEngine::PrepareStep() {
 
 void SamplingEngine::StepSampleRange(size_t begin, size_t end) {
   end = std::min(end, num_samples_);
-  Timestamp next = t_ + 1;
-  if (incremental()) {
-    std::vector<double> row;
-    for (size_t i = begin; i < end; ++i) StepNfaSample(i, next, &row);
-  } else {
-    for (size_t i = begin; i < end; ++i) {
-      sample_status_[i] = StepWorldSample(i, next);
+  const Timestamp next = t_ + 1;
+  for (size_t i = begin; i < end; ++i) {
+    if (incremental()) {
+      StepNfaSample(i, next);
+      continue;
     }
+    ExtendWorld(i, next);
+    Result<std::vector<bool>> sat = SatisfiedAt(*query_, *db_, worlds_[i]);
+    sample_status_[i] = sat.status();
+    accepted_[i] = sat.ok() && next < sat->size() && (*sat)[next] ? 1 : 0;
   }
 }
 
 Result<double> SamplingEngine::CommitStep() {
   t_ = t_ + 1;
   size_t accepted = 0;
-  for (size_t i = 0; i < accepted_.size(); ++i) {
-    if (!sample_status_.empty()) LAHAR_RETURN_NOT_OK(sample_status_[i]);
+  for (size_t i = 0; i < num_samples_; ++i) {
+    if (!sample_status_[i].ok()) return sample_status_[i];
     accepted += accepted_[i];
   }
   return static_cast<double>(accepted) / static_cast<double>(num_samples_);
@@ -220,29 +216,32 @@ Result<double> SamplingEngine::Step() {
   return CommitStep();
 }
 
-Result<std::vector<double>> SamplingEngine::Run() {
-  std::vector<double> probs(horizon_ + 1, 0.0);
+Result<std::vector<double>> SamplingEngine::RunTo(Timestamp to) {
+  std::vector<double> probs(to + 1, 0.0);
   if (incremental()) {
-    for (Timestamp t = 1; t <= horizon_; ++t) {
-      LAHAR_ASSIGN_OR_RETURN(probs[t], Step());
+    // The database holds still for the run: one PrepareStep covers it.
+    LAHAR_RETURN_NOT_OK(PrepareStep());
+    while (t_ < to) {
+      StepSampleRange(0, num_samples_);
+      LAHAR_ASSIGN_OR_RETURN(double p, CommitStep());
+      probs[t_] = p;
     }
     return probs;
   }
-  Rng seeder(seed_);
+  std::vector<size_t> accepted(to + 1, 0);
   for (size_t i = 0; i < num_samples_; ++i) {
-    Rng rng = seeder.Split();
-    World w = SampleWorld(*db_, &rng);
+    ExtendWorld(i, to);
     LAHAR_ASSIGN_OR_RETURN(std::vector<bool> sat,
-                           SatisfiedAt(*query_, *db_, w));
-    for (Timestamp t = 1; t <= horizon_; ++t) {
-      if (sat[t]) probs[t] += 1.0;
+                           SatisfiedAt(*query_, *db_, worlds_[i]));
+    for (Timestamp t = t_ + 1; t <= to && t < sat.size(); ++t) {
+      accepted[t] += sat[t] ? 1 : 0;
     }
   }
-  for (double& p : probs) p /= static_cast<double>(num_samples_);
-  // Later Steps extend fresh per-sample prefixes from each sample's own
-  // generator, so every tick past the horizon is still an (eps, delta)
-  // estimate.
-  t_ = horizon_;
+  for (Timestamp t = t_ + 1; t <= to; ++t) {
+    probs[t] =
+        static_cast<double>(accepted[t]) / static_cast<double>(num_samples_);
+  }
+  t_ = std::max(t_, to);
   return probs;
 }
 

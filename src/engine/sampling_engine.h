@@ -1,20 +1,22 @@
-// Naive random sampling (Section 3.5): estimate mu(q@t) by running the
-// query over n sampled possible worlds. Works for ANY query — including the
-// provably #P-hard ones of Section 3.4 — with the (epsilon, delta) guarantee
-// of Prop. 3.20: n = ceil(ln(2/delta) / (2 epsilon^2)) samples give
-// P[|estimate - truth| <= epsilon] >= 1 - delta at each timestep (Hoeffding).
+// The possible-world engine. Naive random sampling (Section 3.5) estimates
+// mu(q@t) by running the query over n sampled possible worlds. Works for
+// ANY query — including the provably #P-hard ones of Section 3.4 — with the
+// (epsilon, delta) guarantee of Prop. 3.20: n = ceil(ln(2/delta) /
+// (2 epsilon^2)) samples give P[|estimate - truth| <= epsilon] >= 1 - delta
+// at each timestep (Hoeffding). The MLE and Viterbi baselines of Section 4
+// are the one-world case: each stream collapses to its most likely tuple
+// per timestep or its MAP path, and the estimate is W |= q@t, 1 or 0.
 //
 // Two execution paths, picked from the PreparedQuery's classification:
-//  * Queries whose groundings are regular run n parallel NFAs over sampled
-//    symbol streams, incrementally per timestep (the paper's "n copies of
-//    the query" with bitvector-style batched state).
-//  * Everything else (safe and unsafe queries) samples possible worlds and
-//    invokes the reference evaluator per world — slower, but fully general.
+//  * Queries whose groundings are regular run one NFA per world over the
+//    drawn symbol streams, incrementally per timestep.
+//  * Everything else draws world prefixes and invokes the reference
+//    evaluator per world — slower, but fully general.
 //
-// The engine is served through SamplingSession (engine/session.h), which
-// Lahar::Run also drives. Run() below is the one batch loop kept beside a
-// session's Advance(): on the general path it draws each world whole, in
-// O(T) per sample, where per-tick stepping re-evaluates a growing prefix.
+// Every caller draws the same worlds, one draw per (world, stream, tick) in
+// tick order, whether it steps one tick at a time (serving) or runs to a
+// target tick in one pass (batch, catch-up, restore). The engine is served
+// through SamplingSession (engine/session.h), which Lahar::Run also drives.
 #ifndef LAHAR_ENGINE_SAMPLING_ENGINE_H_
 #define LAHAR_ENGINE_SAMPLING_ENGINE_H_
 
@@ -39,29 +41,43 @@ struct SamplingOptions {
 /// Samples required for the (epsilon, delta) guarantee.
 size_t HoeffdingSamples(double epsilon, double delta);
 
-/// \brief Monte-Carlo engine over possible worlds.
+/// How Determinized collapses each stream to one trajectory.
+enum class Determinization {
+  kMle,      ///< per-timestep argmax of marginals (real-time baseline)
+  kViterbi,  ///< most likely trajectory (archived MAP baseline)
+};
+
+/// \brief Possible-world engine: Monte-Carlo over sampled worlds, or one
+/// determinized world.
 class SamplingEngine {
  public:
-  /// Builds the engine; picks the NFA path when the prepared query is
-  /// Regular or Extended Regular (every grounding is then regular), the
-  /// reference-evaluator path otherwise. Fails with InvalidArgument unless
-  /// epsilon is finite and > 0 and 0 < delta < 1.
+  /// Builds the sampler; picks the NFA path when the prepared query is
+  /// Regular or Extended Regular, the reference-evaluator path otherwise.
+  /// Fails with InvalidArgument unless epsilon is finite and > 0 and
+  /// 0 < delta < 1.
   static Result<SamplingEngine> Create(const PreparedQuery& prepared,
                                        const EventDatabase& db,
                                        const SamplingOptions& options = {});
 
-  /// Estimated mu(q@t) for t = 1..horizon (index 0 unused), from a fresh
-  /// engine. The NFA path steps; the general path samples whole worlds
-  /// (a different draw order than Step(), so the estimates differ from a
-  /// stepped run's) and leaves time() at the horizon.
-  Result<std::vector<double>> Run();
+  /// The Section 4 baseline: one world whose streams follow their MlePath
+  /// or ViterbiPath, computed here from the database as it stands.
+  static Result<SamplingEngine> Determinized(const PreparedQuery& prepared,
+                                             const EventDatabase& db,
+                                             Determinization mode);
 
-  /// Advances one timestep and returns the estimate at the new time.
-  /// Regular groundings use the incremental NFA path; everything else
-  /// extends per-sample world prefixes and re-evaluates the reference
-  /// semantics on each — O(t * |W|) per tick, but it hosts even unsafe
-  /// queries as standing queries. Equivalent to StepSampleRange(0, n)
-  /// followed by CommitStep().
+  /// Advances to `to` and returns the estimates for t in (time(), to]
+  /// (index 0 and consumed ticks stay 0). The world path extends each world
+  /// through `to` with Step()'s draws and evaluates it once: W |= q@t
+  /// depends only on the world through t, so a stepped run agrees.
+  Result<std::vector<double>> RunTo(Timestamp to);
+
+  /// RunTo the database horizon.
+  Result<std::vector<double>> Run() { return RunTo(db_->horizon()); }
+
+  /// Advances one timestep and returns the estimate at the new time. The
+  /// world path re-evaluates each world's whole prefix — O(t * |W|) per
+  /// tick, but it hosts even unsafe queries as standing queries.
+  /// Equivalent to StepSampleRange(0, n) followed by CommitStep().
   Result<double> Step();
 
   /// Single-threaded preparation before a (possibly sharded) step: extends
@@ -85,12 +101,23 @@ class SamplingEngine {
   bool incremental() const { return !chains_.empty(); }
   size_t num_samples() const { return num_samples_; }
   Timestamp time() const { return t_; }
-  Timestamp horizon() const { return horizon_; }
 
  private:
-  // One tick of one sample; `next` is t_ + 1.
-  void StepNfaSample(size_t i, Timestamp next, std::vector<double>* row);
-  Status StepWorldSample(size_t i, Timestamp next);
+  // Grounds the query and picks the path for `num_samples` worlds.
+  static Result<SamplingEngine> Build(const PreparedQuery& prepared,
+                                      const EventDatabase& db,
+                                      size_t num_samples);
+  // World i's value of stream s at tick t given `prev` at t - 1: read off
+  // the determinized path, or drawn from sample i's generator (bottom,
+  // drawing nothing, past the stream's horizon).
+  DomainIndex Draw(size_t i, StreamId s, Timestamp t, DomainIndex prev);
+  // One NFA tick of sample i; `next` is t_ + 1.
+  void StepNfaSample(size_t i, Timestamp next);
+  // Extends world i tick-major through `to` and no further, even when
+  // streams hold later ticks (the windowed executor applies batches ahead),
+  // so the draw order is fixed however far ingestion has run ahead.
+  void ExtendWorld(size_t i, Timestamp to);
+
   // One grounded regular query: its automaton, symbol table, and the
   // per-sample NFA state masks.
   struct GroundedChain {
@@ -102,25 +129,24 @@ class SamplingEngine {
   QueryPtr query_;
   const EventDatabase* db_ = nullptr;
   size_t num_samples_ = 0;
-  uint64_t seed_ = 0;
-  Timestamp horizon_ = 0;
   Timestamp t_ = 0;
 
   std::vector<GroundedChain> chains_;  // NFA path (empty => general path)
-  // Streams sampled per timestep (union over chains); each chain maps its
-  // participant positions into these slots so a shared stream is sampled
+  // Streams drawn per timestep (union over chains); each chain maps its
+  // participant positions into these slots so a shared stream is drawn
   // exactly once per sample per timestep.
   std::vector<StreamId> slot_streams_;
   std::vector<std::vector<size_t>> chain_slots_;
   std::vector<DomainIndex> values_;  // [sample * num_slots + slot]
   std::vector<Rng> sample_rngs_;     // one generator per sample
+  // Determinized only: the one world's trajectory per drawn stream.
+  std::vector<std::vector<DomainIndex>> paths_;
   // Per-sample outcome of the tick in flight (written by StepSampleRange,
   // folded by CommitStep). uint8_t, not vector<bool>: samples on different
   // shards must not share bytes.
   std::vector<uint8_t> accepted_;
   std::vector<Status> sample_status_;
-  // General path only: per-sample sampled world prefixes, extended lazily
-  // as streams grow (empty until the first Step).
+  // General path only: per-sample world prefixes.
   std::vector<World> worlds_;
 };
 

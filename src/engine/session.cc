@@ -121,7 +121,9 @@ class SafeQuerySession : public QuerySession {
 // Approximate serving of Safe-without-plan and Unsafe queries: the sampling
 // engine steps its per-sample state one tick at a time, so even provably
 // #P-hard queries (Section 3.4) host as standing queries with the
-// (epsilon, delta) guarantee of Prop. 3.20. Units are samples.
+// (epsilon, delta) guarantee of Prop. 3.20. Units are samples. Batch runs,
+// catch-up and restore go through RunToHorizon, which draws the same worlds
+// in one pass.
 class SamplingSession : public QuerySession {
  public:
   SamplingSession(SamplingEngine engine, QueryClass query_class)
@@ -141,14 +143,8 @@ class SamplingSession : public QuerySession {
     engine_.StepSampleRange(begin, end);
   }
 
-  // A fresh general-path sampler draws each world whole: O(T) per sample
-  // instead of re-evaluating a growing prefix every tick.
   Result<std::vector<double>> RunToHorizon(Timestamp horizon) override {
-    if (time() == 0 && !engine_.incremental() &&
-        horizon == engine_.horizon()) {
-      return engine_.Run();
-    }
-    return QuerySession::RunToHorizon(horizon);
+    return engine_.RunTo(horizon);
   }
 
   Result<double> CommitAdvance() override {

@@ -12,6 +12,12 @@
 //   Safe             SafeQuerySession     O(live window)  exact
 //   Unsafe           SamplingSession      O(T * |W|)      (eps, delta)
 //
+// RunToHorizon is batch evaluation, registration catch-up and checkpoint
+// restore alike. The exact sessions run it as the Advance() loop; the
+// SamplingSession extends each world through the horizon and evaluates it
+// once (O(T * |W|) per sample in total), drawing exactly the worlds the
+// Advance() loop would, so every class publishes exactly the batch answers.
+//
 // The protocol has two forms. Advance() consumes one timestep and returns
 // P[q@t] at the new time. The split PrepareAdvance() / AdvanceShard(begin,
 // end) / CommitAdvance() form is what the sharded executor speaks: per
@@ -109,9 +115,10 @@ class QuerySession {
   virtual Result<double> Advance();
 
   /// Advances to `horizon` and returns P[q@t] for t in (time(), horizon]
-  /// (index 0 and already-consumed ticks stay 0). This is batch evaluation:
-  /// Lahar::Run is a fresh session run to the database horizon. Default:
-  /// the Advance() loop.
+  /// (index 0 and already-consumed ticks stay 0), exactly as the Advance()
+  /// loop would. This is batch evaluation (Lahar::Run is a fresh session run
+  /// to the database horizon) and the registry's catch-up. Default: the
+  /// Advance() loop.
   virtual Result<std::vector<double>> RunToHorizon(Timestamp horizon);
 
   /// The last consumed timestep (0 before the first Advance).
@@ -174,10 +181,10 @@ class QuerySession {
   bool exact() const { return exact_; }
 
   /// True when the session serializes its state directly (SaveState /
-  /// LoadState). Sessions without direct support are restored by replaying
-  /// the database prefix instead — bit-identical either way (replay is the
-  /// same catch-up path hot registration uses; the sampler's determinism
-  /// comes from its fixed seed).
+  /// LoadState). Sessions without direct support are restored by
+  /// RunToHorizon over the database prefix instead — bit-identical either
+  /// way (it is the catch-up hot registration uses; the sampler's
+  /// determinism comes from its fixed seed).
   virtual bool SupportsStateRestore() const { return false; }
 
   /// Serializes the session's evaluation state (checkpoint). Only valid

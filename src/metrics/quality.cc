@@ -69,16 +69,6 @@ QualityScore Score(const std::vector<double>& probs, double rho,
   return ScoreEvents(DetectionEvents(probs, rho), truth, tolerance);
 }
 
-QualityScore Score(const std::vector<bool>& detected,
-                         const std::vector<Timestamp>& truth,
-                         Timestamp tolerance) {
-  return ScoreEvents(DetectionEvents(detected), truth, tolerance);
-}
-
-std::vector<Timestamp> TruthEvents(const std::vector<bool>& satisfied) {
-  return DetectionEvents(satisfied);
-}
-
 std::vector<Timestamp> InjectSkew(const std::vector<Timestamp>& truth,
                                   Timestamp max_skew, Timestamp horizon,
                                   Rng* rng) {

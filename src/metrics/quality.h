@@ -43,12 +43,6 @@ QualityScore ScoreEvents(const std::vector<Timestamp>& detections,
 /// Convenience: threshold + cluster + score.
 QualityScore Score(const std::vector<double>& probs, double rho,
                    const std::vector<Timestamp>& truth, Timestamp tolerance);
-QualityScore Score(const std::vector<bool>& detected,
-                   const std::vector<Timestamp>& truth, Timestamp tolerance);
-
-/// Event times of a deterministic satisfaction vector (each satisfied run's
-/// first timestep) — used to extract ground-truth event times.
-std::vector<Timestamp> TruthEvents(const std::vector<bool>& satisfied);
 
 /// Adds uniform random skew in [-max_skew, +max_skew] to each truth time
 /// (clamped to [1, horizon]), modelling the noisy participant annotations

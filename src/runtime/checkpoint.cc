@@ -12,16 +12,16 @@ Result<std::string> StreamRuntime::Checkpoint() const {
   // The state mutex serializes against the coordinator: a checkpoint taken
   // while running lands between windows, seeing a database and session pool
   // that are exactly at tick_.
-  std::lock_guard<std::mutex> lock(state_mu_);
+  std::unique_lock<std::mutex> lock(state_mu_);
   // A checkpoint taken from *inside* the tick callback is special under
   // windowed execution: the callback for tick t fires after t's whole
   // window ran, so the sessions may already sit several ticks past t. The
   // snapshot must still be "as of t" (that is the contract the caller's
   // trigger logic sees), so it records tick = t and skips direct session
-  // state — restore rebuilds every session by replaying the archived
-  // prefix to t, which is bit-identical to having saved at t. The archive
-  // itself is saved in full, so the restored runtime re-executes the ticks
-  // past t from its own database. Only the coordinator thread can be
+  // state — restore rebuilds every session by catching up over the
+  // archived prefix to t, which is bit-identical to having saved at t. The
+  // archive itself is saved in full, so the restored runtime re-executes the
+  // ticks past t from its own database. Only the coordinator thread can be
   // inside a callback, which is why the thread-id check gates the
   // (unsynchronized, coordinator-only) callback_tick_ read.
   const bool mid_window = coordinator_.joinable() &&
@@ -50,13 +50,14 @@ Result<std::string> StreamRuntime::Checkpoint() const {
       w.U8(1);
       w.Str(state.str());
     } else {
-      // Sampling sessions rebuild by replaying the database prefix on
-      // restore — the same bit-identical catch-up path hot registration
-      // uses (the sampler's determinism comes from its seed). Streaming
-      // and safe sessions serialize their state directly above.
+      // Sampling sessions rebuild on restore by drawing the same worlds
+      // over the database prefix (their determinism comes from the seed).
       w.U8(0);
     }
   }
+  // Sealed outside the lock: the coordinator only waits for serialization.
+  lock.unlock();
+  w.U32(serial::Crc32(w.str()));
   return w.str();
 }
 
@@ -71,7 +72,18 @@ Status StreamRuntime::Restore(std::string_view snapshot) {
         "Restore requires an empty registry (queries come from the "
         "snapshot)");
   }
-  serial::Reader r(snapshot);
+  if (snapshot.size() < kCheckpointTrailerBytes) {
+    return Status::InvalidArgument("checkpoint shorter than its CRC trailer");
+  }
+  const std::string_view body =
+      snapshot.substr(0, snapshot.size() - kCheckpointTrailerBytes);
+  serial::Reader trailer(snapshot.substr(body.size()));
+  uint32_t crc = 0;
+  LAHAR_RETURN_NOT_OK(trailer.U32(&crc));
+  if (crc != serial::Crc32(body)) {
+    return Status::InvalidArgument("checkpoint CRC mismatch (corrupt file)");
+  }
+  serial::Reader r(body);
   uint32_t magic, version;
   LAHAR_RETURN_NOT_OK(r.U32(&magic));
   if (magic != kCheckpointMagic) {

@@ -14,20 +14,26 @@
 //     str text        query text (reparsed/reclassified on restore)
 //     u8  has_state   1 when the session serialized its state directly
 //     str state       opaque session blob (present iff has_state)
+//   u32  crc          CRC-32 (serial::Crc32) of every preceding byte
 //
-// Sessions without direct state (safe plans, samplers) are restored by
-// replaying the database prefix — the same bit-identical catch-up path hot
-// registration uses. Reorder-buffered updates are NOT checkpointed:
+// Restore checks the CRC before parsing anything, so a truncated or
+// corrupted file fails with InvalidArgument. Sessions without direct state
+// (samplers, and every session of a checkpoint taken mid-window) are
+// restored by the catch-up hot registration uses: QuerySession::
+// RunToHorizon to the checkpoint tick, which for a sampler draws the same
+// worlds serving drew. Reorder-buffered updates are NOT checkpointed:
 // producers must resend ticks newer than the checkpoint tick.
 #ifndef LAHAR_RUNTIME_CHECKPOINT_H_
 #define LAHAR_RUNTIME_CHECKPOINT_H_
 
+#include <cstddef>
 #include <cstdint>
 
 namespace lahar {
 
 inline constexpr uint32_t kCheckpointMagic = 0x504B434CU;  // "LCKP"
-inline constexpr uint32_t kCheckpointVersion = 1;
+inline constexpr uint32_t kCheckpointVersion = 2;
+inline constexpr size_t kCheckpointTrailerBytes = 4;  // the u32 CRC
 
 }  // namespace lahar
 

@@ -188,7 +188,8 @@ class StreamRuntime {
 
   /// Serializes the runtime's recoverable state — the database, the current
   /// tick, ended streams, and every standing query (with direct session
-  /// state for the streaming engines) — into a versioned binary snapshot.
+  /// state for the streaming engines) — into a versioned binary snapshot
+  /// sealed with a CRC-32 trailer (runtime/checkpoint.h).
   /// Callable while running: it takes the state mutex, so it lands between
   /// windows, never mid-window (the tick callback is a natural place to
   /// call it from — the coordinator invokes callbacks with no locks held).
@@ -203,7 +204,9 @@ class StreamRuntime {
   /// checkpointed one started from — e.g. a CloneDeclarations() clone; the
   /// archived timesteps are replaced by the snapshot's. Registered queries
   /// are restored under their original ids; subsequent ticks produce
-  /// results bit-identical to a runtime that was never interrupted.
+  /// results bit-identical to a runtime that was never interrupted. A
+  /// snapshot whose CRC does not match fails with InvalidArgument before
+  /// any of it is parsed.
   Status Restore(std::string_view snapshot);
 
  private:

@@ -40,33 +40,6 @@ Status IngestQueue::Push(TickBatch batch, std::chrono::milliseconds deadline) {
   return Status::OK();
 }
 
-std::optional<TickBatch> IngestQueue::Pop() {
-  std::optional<TickBatch> out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (batches_.empty()) return std::nullopt;
-    out = std::move(batches_.front());
-    batches_.pop_front();
-  }
-  not_full_.notify_one();
-  return out;
-}
-
-std::optional<TickBatch> IngestQueue::PopWait(
-    std::chrono::milliseconds timeout) {
-  std::optional<TickBatch> out;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_empty_.wait_for(lock, timeout,
-                        [&] { return closed_ || !batches_.empty(); });
-    if (batches_.empty()) return std::nullopt;
-    out = std::move(batches_.front());
-    batches_.pop_front();
-  }
-  not_full_.notify_one();
-  return out;
-}
-
 size_t IngestQueue::DrainWait(std::vector<TickBatch>* out) {
   size_t drained = 0;
   {

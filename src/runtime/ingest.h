@@ -58,13 +58,6 @@ class IngestQueue {
   /// full past the deadline, InvalidArgument when the queue is closed.
   Status Push(TickBatch batch, std::chrono::milliseconds deadline);
 
-  /// Non-blocking pop (consumer side).
-  std::optional<TickBatch> Pop();
-
-  /// Pops, waiting up to `timeout` for a batch. Returns nullopt on timeout
-  /// or when the queue is closed and drained.
-  std::optional<TickBatch> PopWait(std::chrono::milliseconds timeout);
-
   /// Bulk drain (consumer side): blocks until at least one batch is queued,
   /// the queue is closed, or Wake() is called, then moves *every* queued
   /// batch onto the back of `*out` and returns the number drained. There is
@@ -80,7 +73,7 @@ class IngestQueue {
   void Wake();
 
   /// Rejects all future pushes and wakes every waiter. Queued batches can
-  /// still be popped; PopWait returns immediately once drained.
+  /// still be drained; DrainWait returns 0 at once when none are left.
   void Close();
 
   bool closed() const;

@@ -54,10 +54,9 @@ Result<QueryId> QueryRegistry::Register(const PreparedQuery& prepared,
   return RegisterPrepared(prepared, text, tick, /*cached_plan=*/false);
 }
 
-Result<QueryId> QueryRegistry::RegisterPrepared(const PreparedQuery& prepared,
-                                                std::string_view text,
-                                                Timestamp tick,
-                                                bool cached_plan) {
+Result<std::unique_ptr<StandingQuery>> QueryRegistry::BuildQuery(
+    QueryId id, const PreparedQuery& prepared, std::string_view text,
+    Timestamp tick, serial::Reader* state) {
   KernelCache* plan_cache = prepared.kernel_cache.get();
   KernelCache::Stats shared_before = shared_kernels_->stats();
   KernelCache::Stats plan_before;
@@ -67,13 +66,12 @@ Result<QueryId> QueryRegistry::RegisterPrepared(const PreparedQuery& prepared,
   LAHAR_ASSIGN_OR_RETURN(std::unique_ptr<QuerySession> session,
                          CreateQuerySession(db_, prepared, options_));
   auto q = std::make_unique<StandingQuery>();
-  q->id = next_id_++;
+  q->id = id;
   q->text = std::string(text);
   q->query_class = prepared.classification.query_class;
   q->engine = session->engine_kind();
   q->exact = session->exact();
   q->session = std::move(session);
-  q->cached_plan = cached_plan;
   KernelCache::Stats shared_after = shared_kernels_->stats();
   q->kernel_hits = shared_after.hits - shared_before.hits;
   q->kernel_misses = shared_after.misses - shared_before.misses;
@@ -82,22 +80,36 @@ Result<QueryId> QueryRegistry::RegisterPrepared(const PreparedQuery& prepared,
     q->kernel_hits += plan_after.hits - plan_before.hits;
     q->kernel_misses += plan_after.misses - plan_before.misses;
   }
-  // Catch up to the runtime's clock: the database already stores timesteps
-  // 1..tick, so replaying them aligns the session with the standing pool.
-  while (q->session->time() < tick) {
-    LAHAR_ASSIGN_OR_RETURN(double p, q->session->Advance());
-    (void)p;
+  if (state != nullptr && q->session->SupportsStateRestore()) {
+    LAHAR_RETURN_NOT_OK(q->session->LoadState(state));
+    if (q->session->time() != tick) {
+      return Status::InvalidArgument(
+          "restored session for query " + std::to_string(id) + " is at t=" +
+          std::to_string(q->session->time()) + ", checkpoint tick is " +
+          std::to_string(tick));
+    }
+  } else {
+    // Catch up to the runtime's clock: the database already stores
+    // timesteps 1..tick. Exact sessions replay them tick by tick; sampling
+    // sessions draw the same worlds in one pass.
+    LAHAR_RETURN_NOT_OK(q->session->RunToHorizon(tick).status());
   }
-  QueryId id = q->id;
-  StandingQuery* raw = q.get();
-  queries_.push_back(std::move(q));
+  return q;
+}
+
+Result<QueryId> QueryRegistry::RegisterPrepared(const PreparedQuery& prepared,
+                                                std::string_view text,
+                                                Timestamp tick,
+                                                bool cached_plan) {
+  LAHAR_ASSIGN_OR_RETURN(
+      std::unique_ptr<StandingQuery> q,
+      BuildQuery(next_id_++, prepared, text, tick, /*state=*/nullptr));
+  q->cached_plan = cached_plan;
   if (cached_plan) {
-    auto it = prepared_cache_.find(raw->text);
+    auto it = prepared_cache_.find(q->text);
     if (it != prepared_cache_.end()) ++it->second.refs;
   }
-  AttachSharing(raw);
-  ++version_;
-  return id;
+  return Add(std::move(q));
 }
 
 Status QueryRegistry::RestoreQuery(QueryId id, std::string_view text,
@@ -109,39 +121,19 @@ Status QueryRegistry::RestoreQuery(QueryId id, std::string_view text,
   LAHAR_ASSIGN_OR_RETURN(PreparedQuery prepared, PrepareQuery(text, db_));
   prepared.kernel_cache = shared_kernels_;
   prepared.row_pool = shared_rows_;
-  LAHAR_ASSIGN_OR_RETURN(std::unique_ptr<QuerySession> session,
-                         CreateQuerySession(db_, prepared, options_));
-  auto q = std::make_unique<StandingQuery>();
-  q->id = id;
-  q->text = std::string(text);
-  q->query_class = prepared.classification.query_class;
-  q->engine = session->engine_kind();
-  q->exact = session->exact();
-  q->session = std::move(session);
-  if (state != nullptr && q->session->SupportsStateRestore()) {
-    LAHAR_RETURN_NOT_OK(q->session->LoadState(state));
-    if (q->session->time() != tick) {
-      return Status::InvalidArgument(
-          "restored session for query " + std::to_string(id) + " is at t=" +
-          std::to_string(q->session->time()) + ", checkpoint tick is " +
-          std::to_string(tick));
-    }
-  } else {
-    // Replay catch-up: the restored database stores timesteps 1..tick, and
-    // this is the same path hot registration uses, so the session's state
-    // is bit-identical to one that ran through the prefix live (sampling
-    // sessions re-derive their trajectories from the fixed seed).
-    while (q->session->time() < tick) {
-      LAHAR_ASSIGN_OR_RETURN(double p, q->session->Advance());
-      (void)p;
-    }
-  }
+  LAHAR_ASSIGN_OR_RETURN(std::unique_ptr<StandingQuery> q,
+                         BuildQuery(id, prepared, text, tick, state));
+  next_id_ = std::max(next_id_, id + 1);
+  Add(std::move(q));
+  return Status::OK();
+}
+
+QueryId QueryRegistry::Add(std::unique_ptr<StandingQuery> q) {
   StandingQuery* raw = q.get();
   queries_.push_back(std::move(q));
-  next_id_ = std::max(next_id_, id + 1);
   AttachSharing(raw);
   ++version_;
-  return Status::OK();
+  return raw->id;
 }
 
 Status QueryRegistry::Unregister(QueryId id) {

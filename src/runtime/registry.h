@@ -81,9 +81,9 @@ class QueryRegistry {
 
   /// Parses, classifies, and registers `text`, routing it to the session
   /// implementation for its class (streaming kernels, incremental safe
-  /// plan, or sampling). The new session is caught up to `tick` by
-  /// replaying the database's stored prefix, so it joins the next tick in
-  /// lockstep with the existing queries.
+  /// plan, or sampling). The new session is caught up to `tick` over the
+  /// database's stored prefix (QuerySession::RunToHorizon), so it joins
+  /// the next tick in lockstep with the existing queries.
   Result<QueryId> Register(std::string_view text, Timestamp tick);
 
   /// Same, from an already-prepared query (no reparse/reclassify) — the
@@ -97,9 +97,9 @@ class QueryRegistry {
   /// Checkpoint restore: re-registers a query under its *original* id. The
   /// session is rebuilt from `text`; if `state` is non-null and the session
   /// serializes its state, the saved state is loaded directly, otherwise
-  /// the session catches up by replaying the database prefix to `tick` —
-  /// bit-identical either way. Ids are preserved and next_id_ advances past
-  /// them, so later registrations never collide with restored queries.
+  /// the session catches up to `tick` as Register does — bit-identical
+  /// either way. Ids are preserved and next_id_ advances past them, so
+  /// later registrations never collide with restored queries.
   Status RestoreQuery(QueryId id, std::string_view text, Timestamp tick,
                       serial::Reader* state);
 
@@ -148,6 +148,13 @@ class QueryRegistry {
   Result<QueryId> RegisterPrepared(const PreparedQuery& prepared,
                                    std::string_view text, Timestamp tick,
                                    bool cached_plan);
+  /// Creates the query for both Register and RestoreQuery and brings its
+  /// session to `tick`: loads `state` if it can, else RunToHorizon.
+  Result<std::unique_ptr<StandingQuery>> BuildQuery(
+      QueryId id, const PreparedQuery& prepared, std::string_view text,
+      Timestamp tick, serial::Reader* state);
+  /// Appends a built query and pools its units; returns its id.
+  QueryId Add(std::unique_ptr<StandingQuery> q);
   /// Pools the session's shareable units; always the LAST step of a
   /// successful Register/RestoreQuery (the session must be caught up).
   void AttachSharing(StandingQuery* q);

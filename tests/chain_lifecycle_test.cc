@@ -616,6 +616,8 @@ struct CheckpointParts {
   };
   std::vector<Query> queries;
 
+  // Reassembles the snapshot and reseals it with a fresh CRC trailer, so
+  // an edited blob reaches the session parser.
   std::string Join() const {
     serial::Writer w;
     for (const Query& q : queries) {
@@ -624,7 +626,10 @@ struct CheckpointParts {
       w.U8(q.has_state);
       if (q.has_state != 0) w.Str(q.blob);
     }
-    return head + w.str();
+    const std::string body = head + w.str();
+    serial::Writer trailer;
+    trailer.U32(serial::Crc32(body));
+    return body + trailer.str();
   }
 };
 

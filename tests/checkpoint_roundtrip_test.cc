@@ -135,6 +135,47 @@ RunOutput RunWithCheckpoint(const EventDatabase& archive,
   return out;
 }
 
+// Restores `snapshot` into a fresh runtime over a declarations clone, feeds
+// it the ticks past `checkpoint_at`, and expects every published result to
+// equal the uninterrupted run's bit for bit.
+void ExpectResumesBitIdentically(const EventDatabase& archive,
+                                 const std::string& snapshot,
+                                 Timestamp checkpoint_at,
+                                 const RunOutput& uninterrupted) {
+  const Timestamp horizon = archive.horizon();
+  auto clone = CloneDeclarations(archive);
+  ASSERT_OK(clone.status());
+  StreamRuntime resumed(clone->get(), RuntimeOptions{});
+  ASSERT_OK(resumed.Restore(snapshot));
+  EXPECT_EQ(resumed.tick(), checkpoint_at);
+
+  std::vector<TickResult> tail;
+  resumed.SetTickCallback([&](const TickResult& r) { tail.push_back(r); });
+  resumed.Start();
+  auto batches = ExtractBatches(archive);
+  ASSERT_OK(batches.status());
+  for (TickBatch& b : *batches) {
+    if (b.t <= checkpoint_at) continue;  // history the checkpoint covers
+    ASSERT_OK(resumed.ingest().Push(std::move(b), 10000ms));
+  }
+  ASSERT_TRUE(resumed.WaitForTick(horizon, 10000ms));
+  resumed.Stop();
+
+  ASSERT_EQ(tail.size(), horizon - checkpoint_at);
+  for (size_t i = 0; i < tail.size(); ++i) {
+    const TickResult& got = tail[i];
+    const TickResult& want = uninterrupted.results[checkpoint_at + i];
+    ASSERT_EQ(got.t, want.t);
+    ASSERT_EQ(got.probs.size(), want.probs.size()) << "t=" << got.t;
+    for (size_t q = 0; q < want.probs.size(); ++q) {
+      EXPECT_EQ(got.probs[q].first, want.probs[q].first);
+      // Bit-identical, not approximately equal: restore is exact.
+      EXPECT_EQ(got.probs[q].second, want.probs[q].second)
+          << "query " << want.probs[q].first << " at t=" << got.t;
+    }
+  }
+}
+
 TEST(CheckpointRoundTripTest, RestoredRuntimeContinuesBitIdentically) {
   const Timestamp kHorizon = 8;
   const Timestamp kCheckpointAt = 4;
@@ -149,41 +190,9 @@ TEST(CheckpointRoundTripTest, RestoredRuntimeContinuesBitIdentically) {
   ASSERT_EQ(interrupted.results.size(), kHorizon);
   ASSERT_FALSE(interrupted.snapshot.empty());
 
-  // Restore into a fresh runtime over a fresh declarations clone and feed
-  // it the remaining ticks only.
-  auto clone = CloneDeclarations(archive);
-  ASSERT_OK(clone.status());
-  StreamRuntime resumed(clone->get(), RuntimeOptions{});
-  ASSERT_OK(resumed.Restore(interrupted.snapshot));
-  EXPECT_EQ(resumed.tick(), kCheckpointAt);
-  RuntimeStats restored_stats = resumed.Stats();
-  ASSERT_EQ(restored_stats.queries.size(), kQueries.size());
-
-  std::vector<TickResult> tail;
-  resumed.SetTickCallback([&](const TickResult& r) { tail.push_back(r); });
-  resumed.Start();
-  auto batches = ExtractBatches(archive);
-  ASSERT_OK(batches.status());
-  for (TickBatch& b : *batches) {
-    if (b.t <= kCheckpointAt) continue;  // history the checkpoint covers
-    ASSERT_OK(resumed.ingest().Push(std::move(b), 10000ms));
-  }
-  ASSERT_TRUE(resumed.WaitForTick(kHorizon, 10000ms));
-  resumed.Stop();
-
-  ASSERT_EQ(tail.size(), kHorizon - kCheckpointAt);
-  for (size_t i = 0; i < tail.size(); ++i) {
-    const TickResult& got = tail[i];
-    const TickResult& want = uninterrupted.results[kCheckpointAt + i];
-    ASSERT_EQ(got.t, want.t);
-    ASSERT_EQ(got.probs.size(), want.probs.size()) << "t=" << got.t;
-    for (size_t q = 0; q < want.probs.size(); ++q) {
-      EXPECT_EQ(got.probs[q].first, want.probs[q].first);
-      // Bit-identical, not approximately equal: restore is exact.
-      EXPECT_EQ(got.probs[q].second, want.probs[q].second)
-          << "query " << want.probs[q].first << " at t=" << got.t;
-    }
-  }
+  // Restore into a fresh runtime and feed it the remaining ticks only.
+  ExpectResumesBitIdentically(archive, interrupted.snapshot, kCheckpointAt,
+                              uninterrupted);
 }
 
 TEST(CheckpointRoundTripTest, SafeSessionRestoresDirectStateBitIdentically) {
@@ -217,35 +226,55 @@ TEST(CheckpointRoundTripTest, SafeSessionRestoresDirectStateBitIdentically) {
       RunWithCheckpoint(archive, kCheckpointAt, safe_queries);
   ASSERT_FALSE(interrupted.snapshot.empty());
 
+  ExpectResumesBitIdentically(archive, interrupted.snapshot, kCheckpointAt,
+                              uninterrupted);
+}
+
+TEST(CheckpointRoundTripTest, CorruptOrTruncatedSnapshotFailsCleanly) {
+  // A real snapshot with one query per class: Regular and Extended Regular
+  // (direct chain state), Safe (direct plan state), Unsafe (sampled,
+  // restored by catch-up). The CRC trailer rejects every truncation and
+  // every single-byte corruption before the parser sees a byte.
+  const Timestamp kHorizon = 8;
+  const Timestamp kCheckpointAt = 5;
+  EventDatabase archive = BuildArchive(kHorizon);
+  std::vector<StepDist> r, s, tt;
+  for (Timestamp t = 1; t <= kHorizon; ++t) {
+    r.push_back({{"u", 0.1 + 0.07 * t}});
+    s.push_back({{"v", 0.8 - 0.05 * t}});
+    tt.push_back(t % 3 == 2 ? StepDist{{"w", 0.6}} : StepDist{});
+  }
+  AddIndependentStream(&archive, "R", "k1", r);
+  AddIndependentStream(&archive, "S", "k1", s);
+  AddIndependentStream(&archive, "T", "a", tt);
+  const std::vector<std::string> queries = {
+      "At('Joe', l : l = 'a')",                // Regular
+      "At(x, l : l = 'b')",                    // Extended Regular
+      "R(x, u1); S(x, u2); T('a', y)",         // Safe plan
+      "(At(x, l1); At(y, l2)) WHERE l1 = l2",  // Unsafe -> sampling
+  };
+
+  RunOutput uninterrupted = RunWithCheckpoint(archive, 0, queries);
+  ASSERT_EQ(uninterrupted.results.size(), kHorizon);
+  RunOutput interrupted = RunWithCheckpoint(archive, kCheckpointAt, queries);
+  const std::string& snapshot = interrupted.snapshot;
+  ASSERT_FALSE(snapshot.empty());
+
   auto clone = CloneDeclarations(archive);
   ASSERT_OK(clone.status());
-  StreamRuntime resumed(clone->get(), RuntimeOptions{});
-  ASSERT_OK(resumed.Restore(interrupted.snapshot));
-  EXPECT_EQ(resumed.tick(), kCheckpointAt);
-
-  std::vector<TickResult> tail;
-  resumed.SetTickCallback([&](const TickResult& r) { tail.push_back(r); });
-  resumed.Start();
-  auto batches = ExtractBatches(archive);
-  ASSERT_OK(batches.status());
-  for (TickBatch& b : *batches) {
-    if (b.t <= kCheckpointAt) continue;
-    ASSERT_OK(resumed.ingest().Push(std::move(b), 10000ms));
+  for (size_t cut = 0; cut < snapshot.size(); ++cut) {
+    StreamRuntime runtime(clone->get(), RuntimeOptions{});
+    EXPECT_FALSE(runtime.Restore(snapshot.substr(0, cut)).ok())
+        << "cut=" << cut;
   }
-  ASSERT_TRUE(resumed.WaitForTick(kHorizon, 10000ms));
-  resumed.Stop();
-
-  ASSERT_EQ(tail.size(), kHorizon - kCheckpointAt);
-  for (size_t i = 0; i < tail.size(); ++i) {
-    const TickResult& got = tail[i];
-    const TickResult& want = uninterrupted.results[kCheckpointAt + i];
-    ASSERT_EQ(got.t, want.t);
-    ASSERT_EQ(got.probs.size(), want.probs.size());
-    for (size_t q = 0; q < want.probs.size(); ++q) {
-      EXPECT_EQ(got.probs[q].second, want.probs[q].second)
-          << "t=" << got.t;
-    }
+  for (size_t at = 0; at < snapshot.size(); ++at) {
+    std::string flipped = snapshot;
+    flipped[at] = static_cast<char>(flipped[at] ^ 0xFF);
+    StreamRuntime runtime(clone->get(), RuntimeOptions{});
+    EXPECT_FALSE(runtime.Restore(flipped).ok()) << "byte " << at;
   }
+  ExpectResumesBitIdentically(archive, snapshot, kCheckpointAt,
+                              uninterrupted);
 }
 
 TEST(CheckpointRoundTripTest, RestoreGuardsBadInput) {
@@ -257,7 +286,11 @@ TEST(CheckpointRoundTripTest, RestoreGuardsBadInput) {
   serial::Writer w;
   w.U32(kCheckpointMagic);
   w.U32(kCheckpointVersion + 1);
-  EXPECT_FALSE(runtime.Restore(w.str()).ok());  // future version
+  w.U32(serial::Crc32(w.str()));  // sealed, so the version check fires
+  const Status future = runtime.Restore(w.str());
+  EXPECT_NE(future.ToString().find("unsupported checkpoint version"),
+            std::string::npos)
+      << future.ToString();
   // A started runtime refuses to restore.
   auto clone2 = CloneDeclarations(archive);
   ASSERT_OK(clone2.status());

@@ -10,6 +10,7 @@
 #include "common/interner.h"
 #include "common/matrix.h"
 #include "common/rng.h"
+#include "common/serial.h"
 #include "common/status.h"
 
 namespace lahar {
@@ -123,6 +124,20 @@ TEST(RngTest, CategoricalAllZeroReturnsSize) {
   EXPECT_EQ(rng.Categorical(w), w.size());
 }
 
+TEST(RngTest, CategoricalReadsARowInPlace) {
+  // The pointer form draws from a slice of a larger buffer (a CPT row)
+  // exactly as the vector form draws from a copy of it.
+  const std::vector<double> buffer = {9.0, 0.2, 0.0, 0.5, 0.3, 9.0};
+  const std::vector<double> row(buffer.begin() + 1, buffer.end() - 1);
+  Rng a(21), b(21);
+  for (int i = 0; i < 200; ++i) {
+    EXPECT_EQ(a.Categorical(buffer.data() + 1, row.size()),
+              b.Categorical(row));
+  }
+  EXPECT_EQ(a.Categorical(buffer.data(), 0), 0u);  // empty: nothing drawn
+  EXPECT_EQ(a.Next(), b.Next());
+}
+
 // Random non-negative weights with runs of zeros, including at either end.
 std::vector<double> WeightsWithZeroRuns(Rng* gen) {
   std::vector<double> w(1 + gen->Below(40), 0.0);
@@ -228,6 +243,11 @@ TEST(RngTest, SplitProducesIndependentStream) {
   Rng a(5);
   Rng b = a.Split();
   EXPECT_NE(a.Next(), b.Next());
+}
+
+TEST(SerialTest, Crc32MatchesTheStandardCheckValue) {
+  EXPECT_EQ(serial::Crc32(""), 0u);
+  EXPECT_EQ(serial::Crc32("123456789"), 0xCBF43926u);  // CRC-32/ISO-HDLC
 }
 
 TEST(MatrixTest, MultiplyIdentity) {

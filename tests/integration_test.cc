@@ -6,9 +6,9 @@
 
 #include <string>
 
-#include "engine/deterministic_engine.h"
 #include "engine/lahar.h"
 #include "engine/regular_engine.h"
+#include "engine/sampling_engine.h"
 #include "metrics/quality.h"
 #include "sim/scenarios.h"
 #include "test_util.h"
@@ -52,12 +52,13 @@ TEST(IntegrationTest, ArchivedLaharBeatsViterbiOnRecall) {
     lahar_tp += l.true_positives;
     lahar_fn += l.false_negatives;
     auto prepared = lahar.Prepare(query);
-    auto viterbi = DeterministicEngine::Create(prepared->ast, **markov_db,
-                                               Determinization::kViterbi);
+    ASSERT_OK(prepared.status());
+    auto viterbi = SamplingEngine::Determinized(*prepared, **markov_db,
+                                                Determinization::kViterbi);
     ASSERT_OK(viterbi.status());
     auto sat = viterbi->Run();
     ASSERT_OK(sat.status());
-    QualityScore v = Score(*sat, truth, 8);
+    QualityScore v = Score(*sat, 0.5, truth, 8);
     viterbi_tp += v.true_positives;
     viterbi_fn += v.false_negatives;
   }

@@ -11,6 +11,7 @@
 #include <atomic>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "engine/streaming.h"
@@ -149,11 +150,11 @@ TEST(RuntimeStressTest, ThousandTicksMatchSequentialReplayBitForBit) {
 // Mixed-class serving under churn: one standing query per class (Regular,
 // Extended Regular, Safe plan, Unsafe-via-sampling) runs for the whole
 // stream while a churn thread registers and drops extra queries
-// concurrently with ingest. The exact sessions are asserted bit-identical
-// to a sequential replay; the sampling session is asserted healthy (the
-// interleaving of world-prefix extension differs between a live and an
-// archived database, so its estimates are deterministic but not comparable
-// across the two).
+// concurrently with ingest. Every published value — stable and churned
+// queries alike, the sampled ones included — is asserted bit-identical to
+// batch evaluation: the sampler draws one value per (world, stream, tick)
+// in tick order however far ingestion runs ahead, and a registration
+// catches up over exactly the worlds serving would have drawn.
 TEST(RuntimeStressTest, MixedClassWorkloadSurvivesConcurrentChurn) {
   constexpr size_t kMixedTags = 3;
   constexpr Timestamp kMixedHorizon = 120;
@@ -170,8 +171,7 @@ TEST(RuntimeStressTest, MixedClassWorkloadSurvivesConcurrentChurn) {
   session_options.sampling.num_samples = 16;
   session_options.sampling.seed = 2008;
 
-  // One stable query per class; `exact` marks the ones with a bit-identical
-  // sequential replay.
+  // One stable query per class; `exact` is the session's answer kind.
   struct StableQuery {
     std::string text;
     std::string query_class;
@@ -185,20 +185,29 @@ TEST(RuntimeStressTest, MixedClassWorkloadSurvivesConcurrentChurn) {
       {"(At(x, l1); At(y, l2)) WHERE l1 = l2", "Unsafe", false},
   };
 
-  // Sequential ground truth for the exact classes over the archive.
-  std::vector<std::vector<double>> expected(stable.size());
-  {
-    Lahar sequential(archive->get(), session_options);
-    for (size_t i = 0; i < stable.size(); ++i) {
-      if (!stable[i].exact) continue;
-      auto session = sequential.OpenSession(stable[i].text);
-      ASSERT_TRUE(session.ok())
-          << session.status().ToString() << " for " << stable[i].text;
-      for (Timestamp t = 1; t <= kMixedHorizon; ++t) {
-        auto p = (*session)->Advance();
-        ASSERT_OK(p.status());
-        expected[i].push_back(*p);
-      }
+  const std::vector<std::string> churn_pool = {
+      "At('tag2', l : Hallway(l))",
+      "At(x, l : Room(l))",
+      "At(p, l1); At(p, l2); At(q, l3)",
+      "At('tag3', l1 : Room(l1)); At('tag3', l2 : NotRoom(l2))",
+      "(At(x, l1); At(y, l2)) WHERE l1 = l2",
+  };
+
+  // Batch ground truth over the archive, indexed by tick.
+  Lahar batch(archive->get(), session_options);
+  auto batch_probs = [&](const std::string& text) {
+    auto answer = batch.Run(text);
+    EXPECT_TRUE(answer.ok()) << answer.status().ToString() << " for " << text;
+    return answer.ok() ? answer->probs : std::vector<double>{};
+  };
+  std::vector<std::vector<double>> expected, churn_expected;
+  for (const StableQuery& q : stable) expected.push_back(batch_probs(q.text));
+  for (const std::string& q : churn_pool) {
+    churn_expected.push_back(batch_probs(q));
+  }
+  for (const auto* table : {&expected, &churn_expected}) {
+    for (const std::vector<double>& probs : *table) {
+      ASSERT_EQ(probs.size(), kMixedHorizon + 1);
     }
   }
 
@@ -225,21 +234,20 @@ TEST(RuntimeStressTest, MixedClassWorkloadSurvivesConcurrentChurn) {
       [&](const TickResult& r) { results.push_back(r); });
   runtime.Start();
 
-  // Churn registrations (every class but Unsafe: sampling catch-up over a
-  // long prefix is quadratic) while the producer is pushing ticks.
-  const std::vector<std::string> churn_pool = {
-      "At('tag2', l : Hallway(l))",
-      "At(x, l : Room(l))",
-      "At(p, l1); At(p, l2); At(q, l3)",
-      "At('tag3', l1 : Room(l1)); At('tag3', l2 : NotRoom(l2))",
-  };
+  // Churn registrations of every class while the producer is pushing
+  // ticks (a sampled query catches up in one pass over the prefix).
+  // churn_of maps each churned id to its pool entry; only the churn thread
+  // touches it until it is joined.
+  std::unordered_map<QueryId, size_t> churn_of;
   std::atomic<bool> done{false};
   std::atomic<size_t> churned{0};
   std::thread churn([&] {
     size_t i = 0;
     while (!done.load()) {
-      auto id = runtime.Register(churn_pool[i++ % churn_pool.size()]);
+      const size_t entry = i++ % churn_pool.size();
+      auto id = runtime.Register(churn_pool[entry]);
       if (id.ok()) {
+        churn_of[*id] = entry;
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
         EXPECT_OK(runtime.Unregister(*id));
         churned.fetch_add(1);
@@ -264,12 +272,13 @@ TEST(RuntimeStressTest, MixedClassWorkloadSurvivesConcurrentChurn) {
     for (size_t i = 0; i < stable.size(); ++i) {
       const double* p = results[t].Find(ids[i]);
       ASSERT_NE(p, nullptr) << stable[i].text << " at t=" << t + 1;
-      if (stable[i].exact) {
-        EXPECT_EQ(*p, expected[i][t]) << stable[i].text << " at t=" << t + 1;
-      } else {
-        EXPECT_GE(*p, 0.0);
-        EXPECT_LE(*p, 1.0);
-      }
+      EXPECT_EQ(*p, expected[i][t + 1]) << stable[i].text << " at t=" << t + 1;
+    }
+    for (const auto& [id, p] : results[t].probs) {
+      auto it = churn_of.find(id);
+      if (it == churn_of.end()) continue;
+      EXPECT_EQ(p, churn_expected[it->second][t + 1])
+          << churn_pool[it->second] << " at t=" << t + 1;
     }
   }
 

@@ -38,13 +38,13 @@ TEST(IngestQueueTest, FifoAndCapacity) {
   EXPECT_FALSE(q.TryPush(MakeBatch(3)));  // full: dropped
   EXPECT_EQ(q.size(), 2u);
   EXPECT_EQ(q.dropped(), 1u);
-  auto a = q.Pop();
-  auto b = q.Pop();
-  ASSERT_TRUE(a.has_value());
-  ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(a->t, 1u);
-  EXPECT_EQ(b->t, 2u);
-  EXPECT_FALSE(q.Pop().has_value());
+  std::vector<TickBatch> out;
+  EXPECT_EQ(q.DrainWait(&out), 2u);
+  ASSERT_EQ(out.size(), 2u);
+  EXPECT_EQ(out[0].t, 1u);
+  EXPECT_EQ(out[1].t, 2u);
+  EXPECT_EQ(q.size(), 0u);
+  EXPECT_TRUE(q.TryPush(MakeBatch(4)));  // the drain freed the capacity
 }
 
 TEST(IngestQueueTest, ClosedRejectionsAreNotCountedAsDrops) {
@@ -68,15 +68,18 @@ TEST(IngestQueueTest, PushDeadlineExpiresWhenFull) {
 TEST(IngestQueueTest, PushUnblocksWhenConsumerDrains) {
   IngestQueue q(1);
   ASSERT_TRUE(q.TryPush(MakeBatch(1)));
+  std::vector<TickBatch> consumed;
   std::thread consumer([&] {
     std::this_thread::sleep_for(20ms);
-    q.Pop();
+    q.DrainWait(&consumed);
   });
   EXPECT_OK(q.Push(MakeBatch(2), 5000ms));
   consumer.join();
-  auto b = q.Pop();
-  ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(b->t, 2u);
+  ASSERT_EQ(consumed.size(), 1u);
+  EXPECT_EQ(consumed[0].t, 1u);
+  std::vector<TickBatch> out;
+  EXPECT_EQ(q.DrainWait(&out), 1u);
+  EXPECT_EQ(out[0].t, 2u);
 }
 
 TEST(IngestQueueTest, CloseRejectsPushesAndWakesWaiters) {
@@ -92,12 +95,14 @@ TEST(IngestQueueTest, CloseRejectsPushesAndWakesWaiters) {
   EXPECT_TRUE(q.closed());
   EXPECT_FALSE(q.TryPush(MakeBatch(3)));
   // Queued batches survive Close and drain normally.
-  auto b = q.Pop();
-  ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(b->t, 1u);
-  // PopWait on a closed, drained queue returns immediately.
+  std::vector<TickBatch> out;
+  EXPECT_EQ(q.DrainWait(&out), 1u);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].t, 1u);
+  // DrainWait on a closed, drained queue returns at once with nothing.
   auto t0 = std::chrono::steady_clock::now();
-  EXPECT_FALSE(q.PopWait(5000ms).has_value());
+  EXPECT_EQ(q.DrainWait(&out), 0u);
+  EXPECT_EQ(out.size(), 1u);
   EXPECT_LT(std::chrono::steady_clock::now() - t0, 1000ms);
 }
 
@@ -936,6 +941,20 @@ TEST(StreamRuntimeTest, WindowWidthIsObservationallyEquivalent) {
       ASSERT_NE(pw, nullptr);
       ASSERT_NE(pn, nullptr);
       EXPECT_EQ(*pw, *pn) << queries[i] << " at t=" << t + 1;
+    }
+  }
+  // Every class, the sampled Unsafe query included, publishes exactly the
+  // batch answers: batch evaluation draws the worlds serving draws.
+  Lahar batch(&archive, session_options);
+  for (size_t i = 0; i < queries.size(); ++i) {
+    auto answer = batch.Run(queries[i]);
+    ASSERT_OK(answer.status());
+    ASSERT_EQ(answer->probs.size(), kWinHorizon + 1);
+    for (size_t t = 0; t < kWinHorizon; ++t) {
+      EXPECT_EQ(*wide.results[t].Find(wide.ids[i]), answer->probs[t + 1])
+          << queries[i] << " at t=" << t + 1;
+      EXPECT_EQ(*narrow.results[t].Find(narrow.ids[i]), answer->probs[t + 1])
+          << queries[i] << " at t=" << t + 1;
     }
   }
   ASSERT_FALSE(wide.checkpoint.empty());

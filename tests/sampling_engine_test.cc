@@ -5,6 +5,7 @@
 
 #include "engine/reference.h"
 #include "engine/sampling_engine.h"
+#include "inference/viterbi.h"
 #include "test_util.h"
 
 namespace lahar {
@@ -168,6 +169,108 @@ TEST(SamplingTest, RejectsDeltaOutsideTheOpenUnitInterval) {
   auto engine = SamplingEngine::Create(q, db, opt);
   ASSERT_OK(engine.status());
   EXPECT_GT(engine->num_samples(), 0u);
+}
+
+// --- Determinization: the Section 4 baselines as the one-world case -------
+
+TEST(ViterbiTest, MlePicksArgmaxPerStep) {
+  EventDatabase db;
+  StreamId id = AddIndependentStream(
+      &db, "At", "Joe", {{{"a", 0.6}, {"b", 0.3}}, {{"b", 0.8}}, {{"a", 0.2}}});
+  const Stream& s = db.stream(id);
+  auto path = MlePath(s);
+  EXPECT_EQ(path[1], s.LookupTuple({db.Sym("a")}));
+  EXPECT_EQ(path[2], s.LookupTuple({db.Sym("b")}));
+  EXPECT_EQ(path[3], kBottom);  // bottom mass 0.8 dominates
+}
+
+TEST(ViterbiTest, ViterbiPrefersConsistentPath) {
+  // Marginals alone favor hopping; the CPT strongly favors staying, so the
+  // MAP path stays in one room (the Fig. 11(b) phenomenon).
+  EventDatabase db;
+  lahar::testing::DeclareUnarySchema(&db, "At");
+  Stream s(db.interner().Intern("At"), {db.Sym("Joe")}, 1, 3, true);
+  DomainIndex r1 = s.InternTuple({db.Sym("room1")});
+  DomainIndex r2 = s.InternTuple({db.Sym("room2")});
+  ASSERT_OK(s.SetInitial({0.0, 0.55, 0.45}));
+  Matrix cpt(3, 3, 0.0);
+  cpt.At(0, 0) = 1.0;
+  cpt.At(r1, r1) = 0.9;
+  cpt.At(r1, r2) = 0.1;
+  cpt.At(r2, r2) = 0.9;
+  cpt.At(r2, r1) = 0.1;
+  ASSERT_OK(s.SetCpt(1, cpt));
+  ASSERT_OK(s.SetCpt(2, cpt));
+  ASSERT_OK(s.FinalizeMarkov());
+  auto path = ViterbiPath(s);
+  EXPECT_EQ(path[1], r1);
+  EXPECT_EQ(path[2], r1);
+  EXPECT_EQ(path[3], r1);
+}
+
+TEST(ViterbiTest, IndependentStreamFallsBackToMle) {
+  EventDatabase db;
+  StreamId id =
+      AddIndependentStream(&db, "At", "Joe", {{{"a", 0.9}}, {{"b", 0.6}}});
+  EXPECT_EQ(ViterbiPath(db.stream(id)), MlePath(db.stream(id)));
+}
+
+TEST(DeterministicEngineTest, MleDetectsHighConfidenceSequence) {
+  EventDatabase db;
+  AddIndependentStream(&db, "At", "Joe",
+                       {{{"a", 0.9}}, {{"b", 0.8}}, {{"c", 0.7}}});
+  PreparedQuery q = MustPrepare(
+      &db, "At('Joe', l1 : l1 = 'a'); At('Joe', l2 : l2 = 'b')");
+  auto engine = SamplingEngine::Determinized(q, db, Determinization::kMle);
+  ASSERT_OK(engine.status());
+  EXPECT_TRUE(engine->incremental());
+  EXPECT_EQ(engine->num_samples(), 1u);
+  auto sat = engine->Run();
+  ASSERT_OK(sat.status());
+  EXPECT_EQ(*sat, (std::vector<double>{0, 0, 1, 0}));
+}
+
+TEST(DeterministicEngineTest, MleMissesLowConfidenceEvent) {
+  // Each step the true location is 'a' with 0.45 < bottom 0.55: MLE sees
+  // nothing at all — the recall failure motivating Lahar.
+  EventDatabase db;
+  AddIndependentStream(&db, "At", "Joe", {{{"a", 0.45}}, {{"a", 0.45}}});
+  PreparedQuery q = MustPrepare(
+      &db, "At('Joe', l1 : l1 = 'a'); At('Joe', l2 : l2 = 'a')");
+  auto engine = SamplingEngine::Determinized(q, db, Determinization::kMle);
+  ASSERT_OK(engine.status());
+  auto sat = engine->Run();
+  ASSERT_OK(sat.status());
+  EXPECT_EQ(*sat, (std::vector<double>{0, 0, 0}));
+}
+
+TEST(DeterministicEngineTest, ExtendedQueryOverPeople) {
+  EventDatabase db;
+  AddIndependentStream(&db, "At", "Joe", {{{"a", 0.9}}, {{"c", 0.9}}});
+  AddIndependentStream(&db, "At", "Sue", {{{"a", 0.9}}, {{"b", 0.9}}});
+  PreparedQuery q =
+      MustPrepare(&db, "At(x, l1 : l1 = 'a'); At(x, l2 : l2 = 'b')");
+  auto engine = SamplingEngine::Determinized(q, db, Determinization::kMle);
+  ASSERT_OK(engine.status());
+  auto sat = engine->Run();
+  ASSERT_OK(sat.status());
+  EXPECT_EQ(*sat, (std::vector<double>{0, 0, 1}));  // Sue fires
+}
+
+TEST(DeterministicEngineTest, GeneralPathViaReference) {
+  // An unsafe query has no regular groundings, so the determinized world
+  // runs through the reference evaluator.
+  EventDatabase db;
+  AddIndependentStream(&db, "R", "k1", {{{"u", 0.9}}, {}});
+  AddIndependentStream(&db, "S", "k1", {{}, {{"v", 0.9}}});
+  PreparedQuery q = MustPrepare(&db, "(R(p1, x); S(p2, y)) WHERE x = y");
+  auto engine = SamplingEngine::Determinized(q, db, Determinization::kMle);
+  ASSERT_OK(engine.status());
+  EXPECT_FALSE(engine->incremental());
+  auto sat = engine->Run();
+  ASSERT_OK(sat.status());
+  // MLE world: R=u@1, S=v@2; u != v so the join predicate fails.
+  EXPECT_EQ(*sat, (std::vector<double>{0, 0, 0}));
 }
 
 }  // namespace

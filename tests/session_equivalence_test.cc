@@ -9,7 +9,9 @@
 // itself a session run to the horizon, so every exact test also compares
 // against an oracle batch answer from a path that shares no step code with
 // the session (IndependentBatch below). Sampling sessions are compared
-// against brute-force enumeration within the estimator tolerance.
+// against brute-force enumeration within the estimator tolerance, and
+// their batch, stepped and caught-up answers against each other bit for
+// bit: all three draw the same worlds.
 //
 // Both databases in each test are built by the same recipe code so their
 // contents are bit-identical; only the interleaving of appends and
@@ -460,6 +462,74 @@ TEST(SessionEquivalence, SamplingSessionTracksBruteForce) {
     ASSERT_OK(p.status());
     EXPECT_NEAR(*p, (*want)[t], 0.02) << "t=" << t;
   }
+}
+
+// A sampled query's three evaluation orders draw the same worlds: batch
+// Lahar::Run, the Advance() loop (k = 0), and RunToHorizon(k) — the
+// catch-up and restore path — followed by Advance() must agree bit for bit.
+void ExpectSampledOrdersAgree(EventDatabase* db, const std::string& query,
+                              const LaharOptions& options, QueryClass cls) {
+  Lahar lahar(db, options);
+  auto batch = lahar.Run(query);
+  ASSERT_OK(batch.status());
+  EXPECT_EQ(batch->query_class, cls);
+  EXPECT_EQ(batch->engine, EngineKind::kSampling);
+  const Timestamp horizon = db->horizon();
+  ASSERT_EQ(batch->probs.size(), horizon + 1);
+  // Saturated answers (0 or 1 everywhere) would agree under any draw order.
+  size_t fractional = 0;
+  for (Timestamp t = 1; t <= horizon; ++t) {
+    fractional += batch->probs[t] > 0 && batch->probs[t] < 1;
+  }
+  ASSERT_GE(3 * fractional, horizon) << "inputs too saturated to compare";
+
+  for (Timestamp k : {Timestamp{0}, Timestamp{1}, horizon / 2, horizon - 1,
+                      horizon}) {
+    auto session = lahar.OpenSession(query);
+    ASSERT_OK(session.status());
+    auto head = (*session)->RunToHorizon(k);
+    ASSERT_OK(head.status());
+    EXPECT_EQ((*session)->time(), k);
+    for (Timestamp t = 1; t <= k; ++t) {
+      EXPECT_EQ((*head)[t], batch->probs[t]) << "k=" << k << " t=" << t;
+    }
+    for (Timestamp t = k + 1; t <= horizon; ++t) {
+      auto p = (*session)->Advance();
+      ASSERT_OK(p.status());
+      EXPECT_EQ(*p, batch->probs[t]) << "k=" << k << " t=" << t;
+    }
+  }
+}
+
+TEST(SessionEquivalence, UnsafeSamplingOrdersAgreeBitwise) {
+  EventDatabase db;
+  StreamId r = AddEmptyStream(&db, "R", "k1", {"m", "n"});
+  StreamId s = AddEmptyStream(&db, "S", "k2", {"m", "n"});
+  for (size_t t = 0; t < 12; ++t) {
+    const double m = 0.15 + 0.05 * static_cast<double>(t % 5);
+    AppendStep(&db, r, {{"m", m}, {"n", 0.3}});
+    AppendStep(&db, s, {{"n", 0.2 + m}, {"m", 0.25}});
+  }
+  LaharOptions options;
+  options.sampling.num_samples = 64;
+  options.sampling.seed = 11;
+  ExpectSampledOrdersAgree(&db, "(R(x, u1); S(y, u2)) WHERE u1 = u2",
+                           options, QueryClass::kUnsafe);
+}
+
+TEST(SessionEquivalence, SafeMarkovFallbackOrdersAgreeBitwise) {
+  // Safe plans need independent streams, so over Markovian ones the Safe
+  // query routes to the sampling fallback.
+  EventDatabase db;
+  lahar::testing::AddMarkovStream(&db, "At", "Joe", {"a", "b"}, 12, 0.7);
+  lahar::testing::AddMarkovStream(&db, "At", "Sue", {"a", "b"}, 12, 0.6);
+  LaharOptions options;
+  options.plan.assume_distinct_keys = true;
+  options.sampling.num_samples = 64;
+  options.sampling.seed = 5;
+  ExpectSampledOrdersAgree(
+      &db, "At(p, l1 : l1 = 'a'); At(p, l2 : l2 = 'b'); At(q, l3 : l3 = 'a')",
+      options, QueryClass::kSafe);
 }
 
 TEST(SessionEquivalence, StrictModeRejectionNamesTheClass) {
