@@ -127,7 +127,7 @@ void BM_SamplingVsSampleCount(benchmark::State& state) {
     SamplingOptions options;
     options.num_samples = samples;
     auto engine = SamplingEngine::Create(prepared, db, options);
-    auto probs = engine->Run();
+    auto probs = engine->RunToHorizon(db.horizon());
     benchmark::DoNotOptimize(probs);
   }
   state.SetItemsProcessed(state.iterations() * samples);

@@ -64,8 +64,10 @@ int main() {
       if (!prepared.ok()) return 1;
       std::vector<double> probs;
       total_ms += TimeMs([&] {
-        auto engine = ExtendedRegularEngine::Create(prepared->normalized, **db);
-        if (engine.ok()) probs = engine->Run();
+        auto engine = ExtendedRegularEngine::Create(*prepared, **db);
+        if (!engine.ok()) return;
+        auto run = engine->RunToHorizon((*db)->horizon());
+        if (run.ok()) probs = std::move(*run);
       });
       pooled.Add(Score(probs, kRho, reference.truths[i], kTolerance));
     }

@@ -49,7 +49,7 @@ int main() {
   auto viterbi_engine = SamplingEngine::Determinized(
       *prepared, **markov_db, Determinization::kViterbi);
   if (!viterbi_engine.ok()) return 1;
-  auto viterbi_sat = viterbi_engine->Run();
+  auto viterbi_sat = viterbi_engine->RunToHorizon((*markov_db)->horizon());
   if (!viterbi_sat.ok()) return 1;
 
   std::printf("Fig 11(a) | P[in room4 for 3 consecutive steps] over time\n");

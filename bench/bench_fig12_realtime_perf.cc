@@ -42,18 +42,18 @@ Row RunOne(const char* query, size_t tags) {
   row.mle = Throughput(tuples, TimeMs([&] {
     auto engine =
         SamplingEngine::Determinized(*prepared, **db, Determinization::kMle);
-    auto sat = engine->Run();
+    auto sat = engine->RunToHorizon(kHorizon);
     (void)sat;
   }));
   row.lahar = Throughput(tuples, TimeMs([&] {
-    auto engine = ExtendedRegularEngine::Create(prepared->normalized, **db);
-    auto probs = engine->Run();
+    auto engine = ExtendedRegularEngine::Create(*prepared, **db);
+    auto probs = engine->RunToHorizon(kHorizon);
     (void)probs;
   }));
   row.sampling = Throughput(tuples, TimeMs([&] {
     SamplingOptions options;  // epsilon = delta = 0.1 -> 150 samples
     auto engine = SamplingEngine::Create(*prepared, **db, options);
-    auto probs = engine->Run();
+    auto probs = engine->RunToHorizon(kHorizon);
     (void)probs;
   }));
   return row;

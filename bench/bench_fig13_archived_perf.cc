@@ -85,21 +85,21 @@ void RunQuery(const char* label, const char* query_label,
       for (const PreparedQuery& p : prepared) {
         auto engine =
             SamplingEngine::Determinized(p, **db, Determinization::kViterbi);
-        auto sat = engine->Run();
+        auto sat = engine->RunToHorizon(kHorizon);
         (void)sat;
       }
     });
     double lahar_ms = TimeMs([&] {
       for (const PreparedQuery& p : prepared) {
-        auto engine = ExtendedRegularEngine::Create(p.normalized, **db);
-        auto probs = engine->Run();
+        auto engine = ExtendedRegularEngine::Create(p, **db);
+        auto probs = engine->RunToHorizon(kHorizon);
         (void)probs;
       }
     });
     double sampling_ms = TimeMs([&] {
       for (const PreparedQuery& p : prepared) {
         auto engine = SamplingEngine::Create(p, **db, {});
-        auto probs = engine->Run();
+        auto probs = engine->RunToHorizon(kHorizon);
         (void)probs;
       }
     });

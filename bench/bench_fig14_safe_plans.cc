@@ -3,7 +3,10 @@
 // of concurrent tags grows; (b) throughput as the *trace length* grows —
 // the analytic worst case is O(T^3) total work (cubically decaying
 // throughput), but lazy evaluation of the recurrence does much better.
+// Every cell also prints one `JSON {...}` record with its tuples_per_sec for
+// bench/compare.py.
 #include <cmath>
+#include <string>
 
 #include "bench_util.h"
 #include "engine/sampling_engine.h"
@@ -24,6 +27,19 @@ double SafeMs(const PreparedQuery& prepared, EventDatabase* db) {
                    answer.status().ToString().c_str());
     }
   });
+}
+
+// One compare.py record per (panel, size, system) cell; `size_field` is
+// "tags" in panel (a) and "steps" in panel (b).
+void PrintRecord(const char* panel, const char* size_field, size_t size,
+                 const char* system, double tuples_per_sec) {
+  JsonLine()
+      .Add("bench", std::string("fig14_safe_plans"))
+      .Add("panel", std::string(panel))
+      .Add(size_field, size)
+      .Add("system", std::string(system))
+      .Add("tuples_per_sec", tuples_per_sec)
+      .Print();
 }
 
 }  // namespace
@@ -47,10 +63,13 @@ int main() {
     double safe_ms = SafeMs(*prepared, db->get());
     double sampling_ms = TimeMs([&] {
       auto engine = SamplingEngine::Create(*prepared, **db, {});
-      auto probs = engine->Run();
+      auto probs = engine->RunToHorizon((*db)->horizon());
       (void)probs;
     });
     std::printf("%-6zu %16.0f %16.0f\n", tags, Throughput(tuples, safe_ms),
+                Throughput(tuples, sampling_ms));
+    PrintRecord("a", "tags", tags, "safe_plan", Throughput(tuples, safe_ms));
+    PrintRecord("a", "tags", tags, "sampling",
                 Throughput(tuples, sampling_ms));
   }
 
@@ -76,6 +95,7 @@ int main() {
         base_ms * std::pow(static_cast<double>(T) / base_T, 3.0);
     std::printf("%-10u %16.0f %14.1f %20.1fms\n", T, Throughput(tuples, ms),
                 ms, predicted_ms);
+    PrintRecord("b", "steps", T, "safe_plan", Throughput(tuples, ms));
   }
   std::printf("\n(paper: measured asymptotics are much better than the "
               "analytic O(T^3) prediction thanks to lazy evaluation)\n");

@@ -23,11 +23,13 @@ int main() {
   auto prepared = lahar.Prepare(kQ2Sequence);
   if (!prepared.ok()) return 1;
 
-  auto exact_engine =
-      ExtendedRegularEngine::Create(prepared->normalized, **db);
+  auto exact_engine = ExtendedRegularEngine::Create(*prepared, **db);
   if (!exact_engine.ok()) return 1;
   std::vector<double> exact;
-  double exact_ms = TimeMs([&] { exact = exact_engine->Run(); });
+  double exact_ms = TimeMs([&] {
+    auto probs = exact_engine->RunToHorizon(kHorizon);
+    if (probs.ok()) exact = std::move(*probs);
+  });
 
   std::printf("Prop 3.20 | sampling accuracy/cost vs exact evaluation "
               "(query Q2, 10 tags, horizon 60)\n");
@@ -46,7 +48,7 @@ int main() {
     if (!engine.ok()) return 1;
     std::vector<double> approx;
     double ms = TimeMs([&] {
-      auto probs = engine->Run();
+      auto probs = engine->RunToHorizon(kHorizon);
       if (probs.ok()) approx = std::move(*probs);
     });
     double max_err = 0;

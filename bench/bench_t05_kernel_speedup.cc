@@ -21,11 +21,10 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/prepared.h"
 #include "automaton/simd.h"
 #include "bench_util.h"
 #include "engine/extended_engine.h"
-#include "query/normalize.h"
-#include "query/parser.h"
 
 using namespace lahar;
 using namespace lahar::bench;
@@ -44,14 +43,32 @@ std::vector<BenchConfig> Configs() {
   return {map, soa};
 }
 
+// `prepared` with empty caches, so every rep compiles its kernel and builds
+// its transition rows from scratch.
+PreparedQuery FreshCaches(const PreparedQuery& prepared) {
+  PreparedQuery fresh = prepared;
+  fresh.kernel_cache = std::make_shared<KernelCache>();
+  fresh.row_pool = std::make_shared<TransitionRowPool>();
+  return fresh;
+}
+
+// One timed RunToHorizon pass; its answers land in `probs`.
+double TimedRun(ExtendedRegularEngine* engine, Timestamp horizon,
+                std::vector<double>* probs) {
+  return TimeMs([&] {
+    auto r = engine->RunToHorizon(horizon);
+    if (r.ok()) *probs = std::move(*r);
+  });
+}
+
 struct CellResult {
   double ticks_per_sec = 0;
   double checksum = 0;  // sum of all published probs; must match across modes
 };
 
-// Times repeated full Run() passes (engine creation excluded) until the
-// cell has run for at least `min_ms`.
-CellResult RunCell(const NormalizedQuery& nq, const EventDatabase& db,
+// Times repeated full RunToHorizon passes (engine creation excluded) until
+// the cell has run for at least `min_ms`.
+CellResult RunCell(const PreparedQuery& prepared, const EventDatabase& db,
                    const char* workload, const BenchConfig& config,
                    double min_ms) {
   CellResult result;
@@ -60,15 +77,16 @@ CellResult RunCell(const NormalizedQuery& nq, const EventDatabase& db,
   size_t chains = 0, compiled = 0;
   Timestamp horizon = db.horizon();
   while (total_ms < min_ms || reps == 0) {
-    auto engine = ExtendedRegularEngine::Create(nq, db, config.options);
+    auto engine = ExtendedRegularEngine::Create(FreshCaches(prepared), db,
+                                                config.options);
     if (!engine.ok()) {
       std::fprintf(stderr, "%s\n", engine.status().ToString().c_str());
       return result;
     }
-    chains = engine->num_chains();
+    chains = engine->num_units();
     compiled = engine->num_compiled();
     std::vector<double> probs;
-    total_ms += TimeMs([&] { probs = engine->Run(); });
+    total_ms += TimedRun(&*engine, horizon, &probs);
     if (reps == 0) {
       for (double p : probs) result.checksum += p;
     }
@@ -97,14 +115,9 @@ int RunWorkload(const Scenario& scenario, StreamKind kind,
   }
   const std::string query =
       "At(x, l1 : NotRoom(l1)); At(x, l2 : Room(l2))";
-  auto q = ParseQuery(query, &(*db)->interner());
-  if (!q.ok()) {
-    std::fprintf(stderr, "%s\n", q.status().ToString().c_str());
-    return 1;
-  }
-  auto nq = Normalize(**q);
-  if (!nq.ok()) {
-    std::fprintf(stderr, "%s\n", nq.status().ToString().c_str());
+  auto prepared = PrepareQuery(query, db->get());
+  if (!prepared.ok()) {
+    std::fprintf(stderr, "%s\n", prepared.status().ToString().c_str());
     return 1;
   }
 
@@ -114,7 +127,7 @@ int RunWorkload(const Scenario& scenario, StreamKind kind,
   double base = 0, base_checksum = 0;
   int rc = 0;
   for (const BenchConfig& config : Configs()) {
-    CellResult r = RunCell(*nq, **db, workload, config, min_ms);
+    CellResult r = RunCell(*prepared, **db, workload, config, min_ms);
     if (std::strcmp(config.name, "map") == 0) {
       base = r.ticks_per_sec;
       base_checksum = r.checksum;
@@ -194,23 +207,25 @@ struct WideCellResult {
   double bytes_per_chain = 0;
 };
 
-WideCellResult RunWideCell(const NormalizedQuery& nq, const EventDatabase& db,
+WideCellResult RunWideCell(const PreparedQuery& prepared,
+                           const EventDatabase& db,
                            const BenchConfig& config, double min_ms) {
   WideCellResult result;
   double total_ms = 0;
   size_t reps = 0, chains = 0, compiled = 0, simd_chains = 0, striped = 0;
   Timestamp horizon = db.horizon();
   while (total_ms < min_ms || reps == 0) {
-    auto engine = ExtendedRegularEngine::Create(nq, db, config.options);
+    auto engine = ExtendedRegularEngine::Create(FreshCaches(prepared), db,
+                                                config.options);
     if (!engine.ok()) {
       std::fprintf(stderr, "%s\n", engine.status().ToString().c_str());
       return result;
     }
-    chains = engine->num_chains();
+    chains = engine->num_units();
     compiled = engine->num_compiled();
     simd_chains = engine->num_simd();
     std::vector<double> probs;
-    total_ms += TimeMs([&] { probs = engine->Run(); });
+    total_ms += TimedRun(&*engine, horizon, &probs);
     if (reps == 0) {
       for (double p : probs) result.checksum += p;
       result.bytes_per_chain =
@@ -262,14 +277,9 @@ int RunWideWorkload(size_t tags, Timestamp horizon, double min_ms) {
   }
 
   const std::string query = "At(x, l1 : NotRoom(l1)); At(x, l2 : Room(l2))";
-  auto q = ParseQuery(query, &db.interner());
-  if (!q.ok()) {
-    std::fprintf(stderr, "%s\n", q.status().ToString().c_str());
-    return 1;
-  }
-  auto nq = Normalize(**q);
-  if (!nq.ok()) {
-    std::fprintf(stderr, "%s\n", nq.status().ToString().c_str());
+  auto prepared = PrepareQuery(query, &db);
+  if (!prepared.ok()) {
+    std::fprintf(stderr, "%s\n", prepared.status().ToString().c_str());
     return 1;
   }
 
@@ -283,8 +293,8 @@ int RunWideWorkload(size_t tags, Timestamp horizon, double min_ms) {
   std::printf("%-14s %14s %10s %16s\n", "config", "ticks/sec", "speedup",
               "bytes/chain");
   int rc = 0;
-  WideCellResult rs = RunWideCell(*nq, db, scalar, min_ms);
-  WideCellResult rv = RunWideCell(*nq, db, simd, min_ms);
+  WideCellResult rs = RunWideCell(*prepared, db, scalar, min_ms);
+  WideCellResult rv = RunWideCell(*prepared, db, simd, min_ms);
   if (rv.checksum != rs.checksum) {
     // Vectorized vs scalar is a bit-identity contract, same as kernel vs
     // map: a drifting checksum is a bug, not a measurement artifact.

@@ -1,5 +1,5 @@
 // Long-horizon safe-plan serving: per-tick latency and memory behaviour of
-// a SafeQuerySession over a 100k-tick stream (2k with --smoke).
+// a SafePlanEngine session over a 100k-tick stream (2k with --smoke).
 //
 // One safe query — "R(x, u1); S(x, u2); T('a', y)", the seq-over-project
 // shape — served tick by tick in two modes over bit-identical feeds:

@@ -45,7 +45,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "engine/streaming.h"
+#include "engine/extended_engine.h"
 
 using namespace lahar;
 using namespace lahar::bench;
@@ -132,17 +132,17 @@ struct ModeResult {
   size_t registered = 0;      // registered units (keys)
 };
 
-// Runs one (cell, mode): creates a StreamingSession with `opts`, advances
-// it through the full horizon, snapshots residency at the end. The
+// Runs one (cell, mode): creates an ExtendedRegularEngine with `opts`,
+// advances it through the full horizon, snapshots residency at the end. The
 // database is only read, so reps and modes share it.
 bool RunMode(EventDatabase* db, const PreparedQuery& prepared,
              const ChainOptions& opts, Timestamp horizon, size_t reps,
              ModeResult* out) {
   for (size_t rep = 0; rep < reps; ++rep) {
-    Result<StreamingSession> session =
+    Result<ExtendedRegularEngine> session =
         Status::Internal("session not created");
     const double create_ms = TimeMs([&] {
-      session = StreamingSession::Create(db, prepared, opts);
+      session = ExtendedRegularEngine::Create(prepared, *db, opts);
     });
     if (!session.ok()) {
       std::fprintf(stderr, "%s\n", session.status().ToString().c_str());

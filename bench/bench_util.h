@@ -45,7 +45,7 @@ inline std::vector<Timestamp> BaselineEvents(EventDatabase* db,
   if (!prepared.ok()) return {};
   auto engine = SamplingEngine::Determinized(*prepared, *db, mode);
   if (!engine.ok()) return {};
-  auto sat = engine->Run();
+  auto sat = engine->RunToHorizon(db->horizon());
   if (!sat.ok()) return {};
   return DetectionEvents(*sat, 0.5);
 }

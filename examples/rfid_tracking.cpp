@@ -51,7 +51,7 @@ Result<std::vector<double>> Baseline(EventDatabase* db,
   LAHAR_ASSIGN_OR_RETURN(PreparedQuery prepared, Lahar(db).Prepare(query));
   LAHAR_ASSIGN_OR_RETURN(SamplingEngine engine,
                          SamplingEngine::Determinized(prepared, *db, mode));
-  return engine.Run();
+  return engine.RunToHorizon(db->horizon());
 }
 
 }  // namespace

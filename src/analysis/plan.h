@@ -22,8 +22,6 @@
 
 namespace lahar {
 
-class KernelCache;  // automaton/kernel.h
-
 struct SafePlanNode;
 using SafePlanPtr = std::shared_ptr<const SafePlanNode>;
 
@@ -80,14 +78,6 @@ struct SafePlanOptions {
   /// and a row rebuild steps at most this many transitions from the
   /// preceding keyframe.
   size_t reg_keyframe_interval = 256;
-
-  /// Optional compiled-kernel cache shared across *plans*: reg leaves whose
-  /// canonical structure matches another plan's leaf (or a standalone
-  /// regular query) reuse its compiled automaton instead of recompiling.
-  /// Null keeps the historical behaviour of one private cache per plan
-  /// engine. The cache must outlive every engine created with it (the
-  /// runtime registry owns one for the whole process).
-  KernelCache* kernel_cache = nullptr;
 };
 
 /// Options controlling plan compilation.

@@ -5,62 +5,60 @@
 #include <utility>
 
 #include "analysis/bindings.h"
+#include "analysis/plan.h"
 #include "automaton/simd.h"
 #include "engine/session.h"
 
 namespace lahar {
 
 Result<ExtendedRegularEngine> ExtendedRegularEngine::Create(
-    const NormalizedQuery& q, const EventDatabase& db,
+    const PreparedQuery& prepared, const EventDatabase& db,
     const ChainOptions& options) {
-  ExtendedRegularEngine engine;
-  engine.horizon_ = db.horizon();
+  const QueryClass cls = prepared.classification.query_class;
+  if (cls != QueryClass::kRegular && cls != QueryClass::kExtendedRegular) {
+    return Status::UnsafeQuery(
+               "only Regular and Extended Regular queries evaluate as "
+               "Markov chains (Thms 3.3/3.7); Safe queries need the "
+               "archived history")
+        .WithPayload(kQueryClassPayload, QueryClassName(cls));
+  }
+  const NormalizedQuery& q = prepared.normalized;
+  ExtendedRegularEngine engine(cls);
   engine.lazy_ = options.lazy_materialize;
   engine.spill_ = options.spill_cold_chains;
   engine.lifecycle_ = engine.lazy_ || engine.spill_;
   engine.cold_after_ = std::max<uint32_t>(1, options.cold_after_ticks);
   std::set<SymbolId> shared = q.SharedVars();
   std::vector<Binding> bindings = EnumerateBindings(q, db, shared);
-  // The groundings share one automaton structure, so without a caller cache
-  // a Create-local one still collapses the m compilations into one; same
-  // for the dense-row pool — chains hold their row class by shared_ptr, so
-  // a Create-local pool dying here leaves the sharing intact. Lifecycle
-  // engines rebuild chains mid-run, so they own heap fallbacks instead.
-  KernelCache local_cache;
-  TransitionRowPool local_rows;
-  ChainOptions opts = options;
+  // The groundings share one automaton structure, so the prepared query's
+  // kernel cache collapses the m compilations into one and its row pool
+  // shares dense rows across keys. The engine holds both: lifecycle
+  // engines rebuild chains mid-run.
+  engine.kernels_ = prepared.kernel_cache != nullptr
+                        ? prepared.kernel_cache
+                        : std::make_shared<KernelCache>();
+  engine.rows_ = prepared.row_pool != nullptr
+                     ? prepared.row_pool
+                     : std::make_shared<TransitionRowPool>();
+  // Grounded builds over many bindings pay O(bindings x streams) in
+  // SymbolTable::Build full scans; one O(streams) index drops that to
+  // O(bindings x subgoals). Lifecycle engines keep it for promotions.
+  std::unique_ptr<StreamKeyIndex> index;
+  if (engine.lifecycle_ || bindings.size() >= 64) {
+    index = std::make_unique<StreamKeyIndex>(StreamKeyIndex::Build(db));
+  }
+  const ChainCaches caches{engine.kernels_.get(), engine.rows_.get(),
+                           index.get()};
+  engine.query_ = q;
   if (engine.lifecycle_) {
-    engine.query_ = q;
     engine.db_ = &db;
-    if (opts.kernel_cache == nullptr) {
-      engine.owned_cache_ = std::make_shared<KernelCache>();
-      opts.kernel_cache = engine.owned_cache_.get();
-    }
-    if (opts.row_pool == nullptr) {
-      engine.owned_rows_ = std::make_shared<TransitionRowPool>();
-      opts.row_pool = engine.owned_rows_.get();
-    }
-    engine.stream_index_ = std::make_unique<StreamKeyIndex>(
-        options.stream_index != nullptr ? *options.stream_index
-                                        : StreamKeyIndex::Build(db));
-    opts.stream_index = engine.stream_index_.get();
+    engine.chain_options_ = options;
     LAHAR_ASSIGN_OR_RETURN(QueryNfa stub_nfa, QueryNfa::Build(q));
     // Memoization off makes Transition() pure, so concurrent shard threads
     // can evolve stubs through the one shared automaton.
     stub_nfa.set_memoization(false);
     engine.stub_nfa_ = std::make_unique<QueryNfa>(std::move(stub_nfa));
     engine.part_begin_.push_back(0);
-  } else {
-    if (opts.kernel_cache == nullptr) opts.kernel_cache = &local_cache;
-    if (opts.row_pool == nullptr) opts.row_pool = &local_rows;
-  }
-  // Even without the lifecycle, grounded builds over many bindings pay
-  // O(bindings x streams) in SymbolTable::Build full scans; one O(streams)
-  // index drops that to O(bindings x subgoals).
-  std::unique_ptr<StreamKeyIndex> scan_index;
-  if (opts.stream_index == nullptr && bindings.size() >= 64) {
-    scan_index = std::make_unique<StreamKeyIndex>(StreamKeyIndex::Build(db));
-    opts.stream_index = scan_index.get();
   }
   for (Binding& b : bindings) {
     NormalizedQuery grounded = q.Substitute(b);
@@ -70,7 +68,7 @@ Result<ExtendedRegularEngine> ExtendedRegularEngine::Create(
       // reproduces the skipped all-quiet prefix in closed form.
       LAHAR_ASSIGN_OR_RETURN(
           SymbolTable table,
-          SymbolTable::Build(grounded, db, opts.stream_index));
+          SymbolTable::Build(grounded, db, caches.stream_index));
       engine.AppendLifecycleParts(table);
       engine.chains_.push_back(nullptr);
       engine.residency_.push_back(kStub);
@@ -79,7 +77,7 @@ Result<ExtendedRegularEngine> ExtendedRegularEngine::Create(
       continue;
     }
     LAHAR_ASSIGN_OR_RETURN(RegularChain chain,
-                           RegularChain::Create(grounded, db, opts));
+                           RegularChain::Create(grounded, db, options, caches));
     if (engine.lifecycle_) {
       engine.AppendLifecycleParts(*chain.symbols());
       engine.residency_.push_back(kResident);
@@ -92,7 +90,7 @@ Result<ExtendedRegularEngine> ExtendedRegularEngine::Create(
   if (engine.lifecycle_) {
     engine.idle_ticks_.assign(engine.chains_.size(), 0);
     engine.spilled_.resize(engine.chains_.size());
-    engine.chain_options_ = opts;
+    engine.stream_index_ = std::move(index);
   }
   size_t total = 0;
   for (const auto& c : engine.chains_) {
@@ -222,11 +220,11 @@ ChainState ExtendedRegularEngine::StubState(size_t i) const {
 }
 
 Status ExtendedRegularEngine::Materialize(size_t i, const ChainState& state) {
-  ChainOptions opts = chain_options_;
-  opts.stream_index = stream_index_.get();
   NormalizedQuery grounded = query_.Substitute(bindings_[i]);
-  LAHAR_ASSIGN_OR_RETURN(RegularChain chain,
-                         RegularChain::Create(grounded, *db_, opts));
+  LAHAR_ASSIGN_OR_RETURN(
+      RegularChain chain,
+      RegularChain::Create(grounded, *db_, chain_options_,
+                           {kernels_.get(), rows_.get(), stream_index_.get()}));
   // A rebuilt chain must see exactly the creation-time participant set: the
   // always-materialized reference fixes participation at Create, so a
   // stream added since (without re-grounding the query) would diverge.
@@ -321,12 +319,7 @@ void ExtendedRegularEngine::LatchLifecycleError(const Status& s) {
   if (counters_->first_error.ok()) counters_->first_error = s;
 }
 
-double ExtendedRegularEngine::Step() {
-  StepChainRange(0, chains_.size());
-  return CommitParallelStep();
-}
-
-void ExtendedRegularEngine::StepChainRange(size_t begin, size_t end) {
+void ExtendedRegularEngine::AdvanceShard(size_t begin, size_t end) {
   end = std::min(end, chains_.size());
   const Timestamp next = t_ + 1;
   size_t i = begin;
@@ -410,9 +403,34 @@ void ExtendedRegularEngine::StepChainRange(size_t begin, size_t end) {
   }
 }
 
-bool ExtendedRegularEngine::DelegateChain(
-    size_t i, std::shared_ptr<SharedSubChain> unit) {
-  if (i >= chains_.size() || unit == nullptr) return false;
+// Two chains across any sessions with equal canonical keys are structurally
+// identical and step to identical doubles, so the runtime may evaluate them
+// as one shared unit.
+std::string ExtendedRegularEngine::ShareableUnitKey(size_t i) const {
+  return CanonicalQueryKey(query_.Substitute(bindings_[i]));
+}
+
+std::shared_ptr<SharedSubChain> ExtendedRegularEngine::MakeSharedUnit(
+    size_t i, size_t frontier_history) const {
+  if (lifecycle_ || i >= chains_.size() || IsDelegated(i)) return nullptr;
+  const RegularChain& c = *chains_[i];
+  if (!c.status().ok()) return nullptr;
+  return std::make_shared<SharedSubChain>(c, frontier_history);
+}
+
+bool ExtendedRegularEngine::DelegateUnit(
+    size_t i, const std::shared_ptr<SharedSubChain>& unit) {
+  if (i >= chains_.size()) return false;
+  if (unit == nullptr) {
+    if (IsDelegated(i)) {
+      // Copy construction re-owns the state vector (off any shared arena),
+      // so the private chain resumes exactly where the shared unit stands.
+      chains_[i] = std::make_unique<RegularChain>(delegates_[i]->chain());
+      delegates_[i] = nullptr;
+      --num_delegated_;
+    }
+    return true;
+  }
   // Lifecycle bindings may not hold a live chain to share from (and the
   // sharing planner has no view of residency), so delegation requires a
   // resident chain.
@@ -421,17 +439,24 @@ bool ExtendedRegularEngine::DelegateChain(
   if (unit->time() != t_) return false;
   if (delegates_.empty()) delegates_.resize(chains_.size());
   if (delegates_[i] == nullptr) ++num_delegated_;
-  delegates_[i] = std::move(unit);
+  delegates_[i] = unit;
   return true;
 }
 
-void ExtendedRegularEngine::UndelegateChain(size_t i) {
-  if (!IsDelegated(i)) return;
-  // Copy construction re-owns the state vector (off any shared arena), so
-  // the private chain resumes exactly where the shared unit stands.
-  chains_[i] = std::make_unique<RegularChain>(delegates_[i]->chain());
-  delegates_[i] = nullptr;
-  --num_delegated_;
+SessionCounters ExtendedRegularEngine::Counters() const {
+  SessionCounters c;
+  c.shared_units = num_delegated_;
+  c.simd_units = num_simd();
+  c.stripe_steps = stripe_steps();
+  c.stripe_fallbacks = stripe_fallbacks();
+  c.bytes_resident = Footprint().bytes();
+  c.resident_units = num_resident();
+  c.stub_units = num_stub();
+  c.spilled_units = num_spilled();
+  c.promotions = promotions();
+  c.spills = spills();
+  c.rehydrations = rehydrations();
+  return c;
 }
 
 ExtendedRegularEngine::MemoryFootprint ExtendedRegularEngine::Footprint()
@@ -493,26 +518,27 @@ Status ExtendedRegularEngine::ChainStatus() const {
     std::lock_guard<std::mutex> lock(counters_->mu);
     if (!counters_->first_error.ok()) return counters_->first_error;
   }
+  // Runs every tick: test each latched status in place and copy only the
+  // failing one.
   for (size_t i = 0; i < chains_.size(); ++i) {
-    if (IsDelegated(i)) {
-      LAHAR_RETURN_NOT_OK(delegates_[i]->status());
-    } else if (chains_[i] != nullptr) {
-      LAHAR_RETURN_NOT_OK(chains_[i]->status());
-    }
+    const Status* s = IsDelegated(i)         ? &delegates_[i]->status()
+                      : chains_[i] != nullptr ? &chains_[i]->status()
+                                              : nullptr;
+    if (s != nullptr && !s->ok()) return *s;
   }
   return Status::OK();
 }
 
-double ExtendedRegularEngine::CommitParallelStep() {
+Result<double> ExtendedRegularEngine::CommitAdvance() {
   ++t_;
   // Single-threaded point: refresh the stream index if the database gained
   // streams since it was built, so later promotions see current candidates
   // (participation checks in Materialize still pin the creation-time set).
-  if (lifecycle_ && stream_index_ != nullptr &&
-      stream_index_->num_streams() != db_->num_streams()) {
+  if (lifecycle_ && stream_index_->num_streams() != db_->num_streams()) {
     stream_index_ =
         std::make_unique<StreamKeyIndex>(StreamKeyIndex::Build(*db_));
   }
+  LAHAR_RETURN_NOT_OK(ChainStatus());
   // A single grounding needs no union, and 1 - (1 - p) is not an IEEE
   // no-op: returning p directly keeps Regular-class answers bit-identical
   // to a standalone RegularChain's.
@@ -522,19 +548,14 @@ double ExtendedRegularEngine::CommitParallelStep() {
   return 1.0 - none;
 }
 
-std::vector<double> ExtendedRegularEngine::Run() {
-  std::vector<double> probs(horizon_ + 1, 0.0);
-  for (Timestamp t = 1; t <= horizon_; ++t) probs[t] = Step();
-  return probs;
-}
-
-void ExtendedRegularEngine::SaveState(serial::Writer* w) const {
+Status ExtendedRegularEngine::SaveState(serial::Writer* w) const {
   w->U32(t_);
   w->DoubleVec(chain_probs_);
   w->U64(chains_.size());
   for (size_t i = 0; i < chains_.size(); ++i) {
     SaveChainState(i, w);
   }
+  return Status::OK();
 }
 
 Status ExtendedRegularEngine::LoadState(serial::Reader* r) {
@@ -567,22 +588,6 @@ Status ExtendedRegularEngine::LoadState(serial::Reader* r) {
   chain_probs_ = std::move(probs);
   t_ = t;
   return Status::OK();
-}
-
-std::vector<ExtendedRegularEngine::BindingSeries>
-ExtendedRegularEngine::RunPerBinding() {
-  std::vector<BindingSeries> series(chains_.size());
-  for (size_t i = 0; i < chains_.size(); ++i) {
-    series[i].binding = bindings_[i];
-    series[i].probs.assign(horizon_ + 1, 0.0);
-  }
-  for (Timestamp t = t_ + 1; t <= horizon_; ++t) {
-    Step();
-    for (size_t i = 0; i < chains_.size(); ++i) {
-      series[i].probs[t] = chain_probs_[i];
-    }
-  }
-  return series;
 }
 
 }  // namespace lahar

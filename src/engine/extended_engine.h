@@ -32,60 +32,97 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
+#include "analysis/prepared.h"
 #include "engine/regular_engine.h"
+#include "engine/session.h"
 
 namespace lahar {
 
-class SharedSubChain;  // engine/session.h
-
-/// \brief Engine for Extended Regular (and Regular) queries.
-class ExtendedRegularEngine {
+/// \brief Engine for Extended Regular (and Regular) queries; the session
+/// that serves them.
+///
+/// Units are the per-grounding chains (the O(m) of Theorem 3.7). Shard
+/// groups are the lane-interleaved stripes, and every grounded chain is a
+/// shareable unit keyed by the canonical form of its grounded query
+/// (docs/SHARING.md). Lifecycle engines decline sharing: stubs and spilled
+/// bindings hold no live chain to seed or adopt a shared unit with.
+class ExtendedRegularEngine : public QuerySession {
  public:
-  /// Builds one chain per grounding of the shared variables. The query must
-  /// be (extended) regular; classification is not re-checked here.
+  /// Builds one chain per grounding of the shared variables. Fails with
+  /// UnsafeQuery (carrying the class in the kQueryClassPayload payload)
+  /// unless the prepared query is Regular or Extended Regular. Keys and
+  /// value domains visible at creation are final: streams added or domain
+  /// values interned later are not picked up (the paper's per-key chains
+  /// are likewise fixed at query start).
   ///
   /// All groundings share one NFA structure, so their compiled kernels
-  /// dedupe through a cache (options.kernel_cache, or a Create-local one):
-  /// the m per-key chains hold one shared CompiledKernel. The compiled
-  /// chains' state vectors are additionally packed into one engine-owned
-  /// contiguous arena ([chain0 cur | chain0 nxt | chain1 cur | ...]) so a
-  /// timestep walks memory linearly instead of m scattered heap blocks.
-  static Result<ExtendedRegularEngine> Create(const NormalizedQuery& q,
+  /// dedupe through prepared.kernel_cache and their dense rows through
+  /// prepared.row_pool: the m per-key chains hold one shared
+  /// CompiledKernel. The compiled chains' state vectors are additionally
+  /// packed into one engine-owned contiguous arena ([chain0 cur | chain0
+  /// nxt | chain1 cur | ...]) so a timestep walks memory linearly instead
+  /// of m scattered heap blocks.
+  static Result<ExtendedRegularEngine> Create(const PreparedQuery& prepared,
                                               const EventDatabase& db,
                                               const ChainOptions& options = {});
 
-  /// Advances every chain one timestep; returns P[q@t] at the new time.
-  double Step();
+  // --- QuerySession --------------------------------------------------------
+  Timestamp time() const override { return t_; }
+  size_t num_units() const override { return chains_.size(); }
+  /// Delegated chains cost one frontier read, stubs and spilled chains one
+  /// quiet check.
+  size_t UnitCost(size_t i) const override {
+    if (IsDelegated(i)) return 1;
+    if (lifecycle_ && residency_[i] != kResident) return 1;
+    return chains_[i]->StepCost();
+  }
+  /// The whole lane-interleaved stripe for stripe lanes, i + 1 otherwise:
+  /// splitting a stripe across shards would demote every lane to per-chain
+  /// fallback steps.
+  size_t UnitGroupEnd(size_t i) const override {
+    if (i >= stripe_width_.size()) return i + 1;
+    size_t j = i;
+    while (j > 0 && stripe_width_[j] == 0) --j;  // member lane -> leader
+    const uint32_t w = stripe_width_[j];
+    return w > 1 ? j + w : i + 1;
+  }
+  /// Advances the chains in [begin, end) to time()+1. Chains are
+  /// independent, so disjoint ranges may run on different threads.
+  void AdvanceShard(size_t begin, size_t end) override;
+  /// Advances the clock and combines the per-chain probabilities in chain
+  /// order as 1 - prod(1 - p_i); surfaces ChainStatus().
+  Result<double> CommitAdvance() override;
+  /// Sharing, SIMD-kernel and chain-lifecycle counters (docs/PERF.md).
+  SessionCounters Counters() const override;
 
-  /// Split form of Step() for sharded execution (src/runtime/): advances
-  /// only the chains in [begin, end) to time()+1. Chains are independent,
-  /// so disjoint ranges may run on different threads concurrently; the
-  /// database must not be mutated while any range is in flight.
-  void StepChainRange(size_t begin, size_t end);
+  /// Serializes the clock, chain probabilities, and every chain's state
+  /// distribution: chain state is O(chains), so checkpoints store it
+  /// instead of replaying the archived prefix. LoadState restores into an
+  /// engine built by the same query over an identical database snapshot —
+  /// chain count and per-chain hidden-slot layout must match — after which
+  /// stepping continues bit-identically.
+  bool SupportsStateRestore() const override { return true; }
+  Status SaveState(serial::Writer* w) const override;
+  Status LoadState(serial::Reader* r) override;
 
-  /// Completes a split step once every chain range has been stepped:
-  /// advances the clock and combines the per-chain probabilities in chain
-  /// order, bit-identically to Step().
-  double CommitParallelStep();
+  size_t NumShareableUnits() const override {
+    return lifecycle_ ? 0 : chains_.size();
+  }
+  std::string ShareableUnitKey(size_t i) const override;
+  std::shared_ptr<SharedSubChain> MakeSharedUnit(
+      size_t i, size_t frontier_history) const override;
+  /// Delegation stops stepping chain i's private copy and reads per-tick
+  /// probabilities from the unit's frontier; refused when either side has
+  /// a latched error, the unit's clock is not time(), or the binding holds
+  /// no resident chain. The private chain stays frozen as a fallback until
+  /// undelegation (null `unit`) copies the shared state back.
+  bool DelegateUnit(size_t i,
+                    const std::shared_ptr<SharedSubChain>& unit) override;
 
-  /// P[q@t] for t = 1..horizon (index 0 unused).
-  std::vector<double> Run();
-
-  /// Per-grounding time series: which binding of the shared variables
-  /// satisfies the query, and when. `series[i].probs[t]` is P[q{binding_i}
-  /// satisfied at t]; the combined Run() answer is their independent union.
-  struct BindingSeries {
-    Binding binding;
-    std::vector<double> probs;
-  };
-  std::vector<BindingSeries> RunPerBinding();
-
-  Timestamp time() const { return t_; }
-  Timestamp horizon() const { return horizon_; }
-  size_t num_chains() const { return chains_.size(); }
-
+  // --- diagnostics ---------------------------------------------------------
   /// Per-grounding probabilities at the current time (diagnostics).
   const std::vector<double>& chain_probs() const { return chain_probs_; }
   /// The grounding behind chain i.
@@ -95,41 +132,6 @@ class ExtendedRegularEngine {
   /// a materialized chain — stub/spilled bindings hold none.
   const RegularChain& chain(size_t i) const { return *chains_[i]; }
 
-  /// Delegates chain `i` to a shared sub-chain: the engine stops stepping
-  /// its private copy and reads per-tick probabilities from the unit's
-  /// frontier. Refused (returns false) when either side has a latched
-  /// error or the unit's clock is not at this engine's time(). The private
-  /// chain is left frozen as a fallback until undelegation copies the
-  /// shared state back.
-  bool DelegateChain(size_t i, std::shared_ptr<SharedSubChain> unit);
-  /// Reclaims chain `i`: copies the shared unit's live state back into the
-  /// private chain (re-owning storage) and resumes local stepping.
-  void UndelegateChain(size_t i);
-  bool IsDelegated(size_t i) const {
-    return i < delegates_.size() && delegates_[i] != nullptr;
-  }
-  size_t num_delegated() const { return num_delegated_; }
-
-  /// Relative per-step cost of chain i (runtime shard balancing);
-  /// delegated chains cost one frontier read, stubs and spilled chains one
-  /// quiet check.
-  size_t ChainCost(size_t i) const {
-    if (IsDelegated(i)) return 1;
-    if (lifecycle_ && residency_[i] != kResident) return 1;
-    return chains_[i]->StepCost();
-  }
-
-  /// One past the last chain of the indivisible shard-unit group holding
-  /// chain i: the whole lane-interleaved stripe for stripe lanes, i + 1
-  /// otherwise. The executor aligns shard-range splits on these boundaries
-  /// so a split never shears a stripe into per-chain fallbacks.
-  size_t ChainGroupEnd(size_t i) const {
-    if (i >= stripe_width_.size()) return i + 1;
-    size_t j = i;
-    while (j > 0 && stripe_width_[j] == 0) --j;  // member lane -> leader
-    const uint32_t w = stripe_width_[j];
-    return w > 1 ? j + w : i + 1;
-  }
   /// First error latched by any chain (e.g. a failed symbol-table refresh
   /// after mid-stream domain growth); OK in normal operation.
   Status ChainStatus() const;
@@ -202,15 +204,14 @@ class ExtendedRegularEngine {
   };
   MemoryFootprint Footprint() const;
 
-  /// Serializes the clock, chain probabilities, and every chain's state
-  /// distribution (checkpointing). LoadState restores into an engine built
-  /// by the same query over an identical database snapshot — chain count
-  /// and per-chain hidden-slot layout must match — after which stepping
-  /// continues bit-identically.
-  void SaveState(serial::Writer* w) const;
-  Status LoadState(serial::Reader* r);
-
  private:
+  explicit ExtendedRegularEngine(QueryClass query_class)
+      : QuerySession(query_class,
+                     query_class == QueryClass::kRegular
+                         ? EngineKind::kRegular
+                         : EngineKind::kExtendedRegular,
+                     /*exact=*/true) {}
+
   // Residency of a binding (lifecycle mode; everything is kResident
   // otherwise). Stored as uint8_t so 1M bindings cost 1MB.
   static constexpr uint8_t kResident = 0;
@@ -232,6 +233,10 @@ class ExtendedRegularEngine {
     uint32_t trigger_bits = 0;
   };
 
+  // True while chain i reads a shared unit's frontier instead of stepping.
+  bool IsDelegated(size_t i) const {
+    return i < delegates_.size() && delegates_[i] != nullptr;
+  }
   // True when every participating stream of binding i is quiet at `next`:
   // stepping is then the empty-input transition with all probability
   // multipliers exactly 1.0 (see BuildIndependentMaskDist /
@@ -289,7 +294,7 @@ class ExtendedRegularEngine {
   // stripe leader, 0 at its member lanes (the leader steps them), and 1
   // for chains stepped alone. Empty when no arena was packed.
   std::vector<uint32_t> stripe_width_;
-  // Heap-held so the engine stays movable; StepChainRange runs concurrently
+  // Heap-held so the engine stays movable; AdvanceShard runs concurrently
   // across shard threads, hence atomics (relaxed: they are pure counters).
   struct StripeCounters {
     std::atomic<uint64_t> stripe_steps{0};
@@ -309,14 +314,15 @@ class ExtendedRegularEngine {
   bool lazy_ = false;
   bool spill_ = false;
   uint32_t cold_after_ = 64;
-  // Rebuilding chains mid-run needs the query, database, and options that
-  // built the engine; the caches the options point at must outlive every
-  // promotion, so the engine owns fallbacks when the caller passed none.
+  // Rebuilding chains mid-run needs the query, database, options and
+  // caches that built the engine; the engine holds the prepared query's
+  // caches so they outlive every promotion. The query also grounds the
+  // sharing keys.
   NormalizedQuery query_;
   const EventDatabase* db_ = nullptr;
   ChainOptions chain_options_;
-  std::shared_ptr<KernelCache> owned_cache_;
-  std::shared_ptr<TransitionRowPool> owned_rows_;
+  std::shared_ptr<KernelCache> kernels_;
+  std::shared_ptr<TransitionRowPool> rows_;
   std::unique_ptr<StreamKeyIndex> stream_index_;
   // Memoization-free automaton copy for stub evolution: Transition() is
   // then pure/const and safe from concurrent shard threads. One copy
@@ -333,7 +339,6 @@ class ExtendedRegularEngine {
   std::vector<std::unique_ptr<ChainState>> spilled_;
 
   Timestamp t_ = 0;
-  Timestamp horizon_ = 0;
 };
 
 }  // namespace lahar

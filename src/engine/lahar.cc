@@ -1,18 +1,6 @@
 #include "engine/lahar.h"
 
-#include "engine/session.h"
-
 namespace lahar {
-
-const char* EngineKindName(EngineKind kind) {
-  switch (kind) {
-    case EngineKind::kRegular: return "Regular";
-    case EngineKind::kExtendedRegular: return "ExtendedRegular";
-    case EngineKind::kSafePlan: return "SafePlan";
-    case EngineKind::kSampling: return "Sampling";
-  }
-  return "?";
-}
 
 Result<PreparedQuery> Lahar::Prepare(std::string_view text) const {
   return PrepareQuery(text, db_);

@@ -26,19 +26,10 @@
 #include "analysis/prepared.h"
 #include "engine/regular_engine.h"
 #include "engine/sampling_engine.h"
+#include "engine/session.h"
 #include "query/ast.h"
 
 namespace lahar {
-
-/// Which engine evaluated the query.
-enum class EngineKind {
-  kRegular,
-  kExtendedRegular,
-  kSafePlan,
-  kSampling,
-};
-
-const char* EngineKindName(EngineKind kind);
 
 /// Options for the Lahar facade.
 struct LaharOptions {
@@ -47,9 +38,7 @@ struct LaharOptions {
   /// Chain construction knobs for the Regular and Extended Regular
   /// sessions, batch Run() included: kernel budgets, step mode, and the
   /// chain lifecycle (lazy materialization / cold-chain spill; see
-  /// docs/PERF.md "Chain lifecycle"). The kernel_cache / row_pool /
-  /// stream_index pointers are ignored here — sessions wire those to the
-  /// PreparedQuery's shared caches.
+  /// docs/PERF.md "Chain lifecycle").
   ChainOptions chain;
   /// Fall back to sampling when an exact engine rejects the query (unsafe
   /// queries, or safe queries outside the implemented algebra). When false,
@@ -66,8 +55,6 @@ struct QueryAnswer {
   /// False when the sampling engine produced the (epsilon, delta) estimate.
   bool exact = true;
 };
-
-class QuerySession;  // engine/session.h
 
 /// \brief Facade over the four engines, batch and standing queries alike.
 class Lahar {

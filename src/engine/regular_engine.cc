@@ -25,12 +25,13 @@ void SortCanonical(std::vector<Pair>* v) {
 
 Result<RegularChain> RegularChain::Create(const NormalizedQuery& q,
                                           const EventDatabase& db,
-                                          const ChainOptions& options) {
+                                          const ChainOptions& options,
+                                          const ChainCaches& caches) {
   RegularChain chain;
   LAHAR_ASSIGN_OR_RETURN(QueryNfa nfa, QueryNfa::Build(q));
   chain.nfa_ = std::make_shared<const QueryNfa>(std::move(nfa));
   LAHAR_ASSIGN_OR_RETURN(SymbolTable table,
-                         SymbolTable::Build(q, db, options.stream_index));
+                         SymbolTable::Build(q, db, caches.stream_index));
   chain.symbols_ = std::make_shared<const SymbolTable>(std::move(table));
   chain.db_ = &db;
   chain.horizon_ = db.horizon();
@@ -85,9 +86,9 @@ Result<RegularChain> RegularChain::Create(const NormalizedQuery& q,
       profile.push_back(std::move(ks));
     }
     std::shared_ptr<const CompiledKernel> kernel =
-        options.kernel_cache != nullptr
-            ? options.kernel_cache->FindOrCompile(*chain.nfa_, profile,
-                                                  options.kernel)
+        caches.kernels != nullptr
+            ? caches.kernels->FindOrCompile(*chain.nfa_, profile,
+                                            options.kernel)
             : CompileKernel(
                   *chain.nfa_, profile, options.kernel,
                   KernelSignature(*chain.nfa_, profile, options.kernel));
@@ -128,7 +129,7 @@ Result<RegularChain> RegularChain::Create(const NormalizedQuery& q,
 #endif  // !LAHAR_NO_SIMD
         }
         chain.simd_ = want_simd;
-        if (want_simd && options.row_pool != nullptr) {
+        if (want_simd && caches.rows != nullptr) {
           // Structural class key only — kernel shape and domains.
           // CPT content is validated per timestep at reuse (RowContentKey),
           // not baked in here: a creation-time content hash would be O(CPT
@@ -143,7 +144,7 @@ Result<RegularChain> RegularChain::Create(const NormalizedQuery& q,
           for (const Participant& p : chain.markov_participants_) {
             fp.MixU64(db.stream(p.id).domain_size());
           }
-          chain.row_class_ = options.row_pool->FindOrCreate(fp);
+          chain.row_class_ = caches.rows->FindOrCreate(fp);
         }
 
         const size_t stride = chain.kernel_->num_flat();

@@ -59,21 +59,8 @@ inline constexpr double kSimdMinDensity = 0.35;
 struct ChainOptions {
   /// Kernel budgets; kernel.max_flat_states = 0 forces the dynamic map path.
   KernelLimits kernel;
-  /// Optional cross-chain kernel reuse (e.g. PreparedQuery::kernel_cache).
-  /// Engines fall back to a local cache when null; kernels are held by
-  /// shared_ptr, so the cache may outlive or die before the chains.
-  KernelCache* kernel_cache = nullptr;
   /// Step-path selection for compiled chains.
   KernelStepMode step_mode = KernelStepMode::kAuto;
-  /// Optional cross-chain dense-row reuse (e.g. PreparedQuery::row_pool).
-  /// Null makes every SIMD chain build rows locally; classes are held by
-  /// shared_ptr, so the pool may die before the chains.
-  TransitionRowPool* row_pool = nullptr;
-
-  /// Optional (type, key) -> streams index for grounded-query builds; makes
-  /// SymbolTable::Build O(subgoals) instead of O(streams). The extended
-  /// engine builds one per Create and threads it through every binding.
-  const StreamKeyIndex* stream_index = nullptr;
 
   // --- chain lifecycle (extended engine only; docs/PERF.md) ---------------
   /// Keep a registered binding as a ~16-byte closed-form stub until a
@@ -89,6 +76,20 @@ struct ChainOptions {
   /// Idle ticks (no participating-stream evidence) before a frozen chain
   /// is eligible to spill.
   uint32_t cold_after_ticks = 64;
+};
+
+/// Shared structures a chain build borrows, all optional. The engines pass
+/// their PreparedQuery's caches here, so no user-settable option names them.
+struct ChainCaches {
+  /// Cross-chain kernel reuse; null compiles a private kernel. Kernels are
+  /// held by shared_ptr, so the cache may die before the chains.
+  KernelCache* kernels = nullptr;
+  /// Cross-chain dense-row reuse; null makes a SIMD chain build its rows
+  /// locally. Classes are held by shared_ptr, so the pool may die first.
+  TransitionRowPool* rows = nullptr;
+  /// (type, key) -> streams index; makes SymbolTable::Build O(subgoals)
+  /// instead of O(streams) for grounded-query builds.
+  const StreamKeyIndex* stream_index = nullptr;
 };
 
 /// \brief The live state of one RegularChain as a value: clock, accept
@@ -147,7 +148,8 @@ class RegularChain {
   /// classification; see analysis/classify.h).
   static Result<RegularChain> Create(const NormalizedQuery& q,
                                      const EventDatabase& db,
-                                     const ChainOptions& options = {});
+                                     const ChainOptions& options = {},
+                                     const ChainCaches& caches = {});
 
   RegularChain() = default;
   RegularChain(const RegularChain& o);

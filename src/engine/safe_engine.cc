@@ -31,11 +31,11 @@ class SafePlanEngine::NodeEval {
   virtual size_t StepCost() const = 0;
 
   /// Number of independently advanceable shard units under this node.
-  virtual size_t NumShardUnits() const { return 1; }
+  virtual size_t NumUnits() const { return 1; }
 
   /// Advances shard unit `unit` to tick `t`. `warm` asks the unit to also
   /// pre-compute its diagonal probability P[t, t] into its (bounded) memo,
-  /// so the single-threaded combine at FinishAdvance is a pure memo hit.
+  /// so the single-threaded combine at CommitAdvance is a pure memo hit.
   /// Units are disjoint subtrees (the safety precondition keeps their
   /// streams disjoint), so distinct units may advance concurrently.
   virtual Status AdvanceUnit(size_t unit, Timestamp t, bool warm) {
@@ -91,13 +91,11 @@ class SafePlanEngine::RegEval : public SafePlanEngine::NodeEval {
                                                const EventDatabase& db,
                                                KernelCache* kernel_cache,
                                                const SafePlanOptions& safe) {
-    // One cache per plan: the project operator grounds the same subquery
-    // once per key, and every grounding (plus every keyframe/row copy)
-    // shares a single compiled kernel.
-    ChainOptions options;
-    options.kernel_cache = kernel_cache;
-    LAHAR_ASSIGN_OR_RETURN(RegularChain chain,
-                           RegularChain::Create(grounded, db, options));
+    // Every grounding (plus every keyframe/row copy) shares the plan's
+    // compiled kernel.
+    LAHAR_ASSIGN_OR_RETURN(
+        RegularChain chain,
+        RegularChain::Create(grounded, db, {}, {kernel_cache}));
     auto eval = std::make_unique<RegEval>();
     eval->horizon_ = chain.horizon();
     for (StreamId s : chain.participating()) eval->used_.insert(s);
@@ -350,7 +348,7 @@ class SafePlanEngine::SeqEval : public SafePlanEngine::NodeEval {
     return child_->StepCost() + groundings + last_live_window_ + 1;
   }
 
-  size_t NumShardUnits() const override { return child_->NumShardUnits(); }
+  size_t NumUnits() const override { return child_->NumUnits(); }
 
   // Shard work forwards to the child's grounding groups. warm is forced off:
   // this node queries the child at (lo, tfp - 1) intervals, so warming the
@@ -619,7 +617,7 @@ class SafePlanEngine::SeqEval : public SafePlanEngine::NodeEval {
 // The independent-project operator: groundings of x use disjoint tuples, so
 // P = 1 - prod over groundings (1 - P_grounding). The groundings are the
 // natural shard units: their streams are disjoint by construction, so
-// distinct children advance concurrently and the combine at FinishAdvance
+// distinct children advance concurrently and the combine at CommitAdvance
 // reads their warmed (t, t) memo entries.
 class SafePlanEngine::ProjectEval : public SafePlanEngine::NodeEval {
  public:
@@ -650,7 +648,7 @@ class SafePlanEngine::ProjectEval : public SafePlanEngine::NodeEval {
     return total;
   }
 
-  size_t NumShardUnits() const override {
+  size_t NumUnits() const override {
     return children_.empty() ? 1 : children_.size();
   }
 
@@ -753,24 +751,25 @@ Result<std::unique_ptr<NodeEval>> MakeEval(const SafePlanNode& node,
   return Status::Internal("bad plan node");
 }
 
-// Version byte of the engine-level incremental state blob.
+// Version bytes of the session state (clock) and of the engine-level
+// incremental state blob that follows it.
+constexpr uint8_t kSafeSessionVersion = 1;
 constexpr uint8_t kSafeStateVersion = 1;
 
 }  // namespace
 
-Result<SafePlanEngine> SafePlanEngine::Create(const NormalizedQuery& q,
+Result<SafePlanEngine> SafePlanEngine::Create(const PreparedQuery& prepared,
                                               const EventDatabase& db,
                                               const PlanOptions& options) {
-  SafePlanEngine engine;
-  engine.db_ = &db;
-  engine.options_ = options;
+  const NormalizedQuery& q = prepared.normalized;
+  SafePlanEngine engine(prepared.classification.query_class);
   LAHAR_ASSIGN_OR_RETURN(engine.plan_, CompileSafePlan(q, db, options));
-  // Reg leaves share compiled kernels: plan-locally by default, or through
-  // a caller-owned cache (the runtime registry's) so structurally equal
-  // leaves across *plans* — and standalone regular queries — compile once.
+  // Reg leaves share compiled kernels through the prepared query's cache
+  // (plan-local when it has none): the project operator grounds the same
+  // subquery once per key, and every grounding shares one kernel.
   KernelCache local_cache;
-  KernelCache* kernel_cache = options.safe.kernel_cache != nullptr
-                                  ? options.safe.kernel_cache
+  KernelCache* kernel_cache = prepared.kernel_cache != nullptr
+                                  ? prepared.kernel_cache.get()
                                   : &local_cache;
   LAHAR_ASSIGN_OR_RETURN(
       std::unique_ptr<NodeEval> root,
@@ -793,23 +792,21 @@ Result<double> SafePlanEngine::IntervalProb(Timestamp ts, Timestamp tf) {
   return root_->Prob(ts, tf);
 }
 
-size_t SafePlanEngine::NumShardUnits() const {
-  return root_->NumShardUnits();
+size_t SafePlanEngine::num_units() const { return root_->NumUnits(); }
+
+void SafePlanEngine::PrepareAdvance() {
+  shard_status_.assign(num_units(), Status::OK());
 }
 
-void SafePlanEngine::PrepareShard(Timestamp t) {
-  (void)t;
-  shard_status_.assign(NumShardUnits(), Status::OK());
-}
-
-void SafePlanEngine::ShardAdvance(size_t begin, size_t end, Timestamp t) {
+void SafePlanEngine::AdvanceShard(size_t begin, size_t end) {
   const size_t n = shard_status_.size();
   for (size_t i = begin; i < end && i < n; ++i) {
-    shard_status_[i] = root_->AdvanceUnit(i, t, /*warm=*/true);
+    shard_status_[i] = root_->AdvanceUnit(i, t_ + 1, /*warm=*/true);
   }
 }
 
-Result<double> SafePlanEngine::FinishAdvance(Timestamp t) {
+Result<double> SafePlanEngine::CommitAdvance() {
+  ++t_;
   for (Status& s : shard_status_) {
     if (!s.ok()) {
       Status failed = std::move(s);
@@ -821,27 +818,37 @@ Result<double> SafePlanEngine::FinishAdvance(Timestamp t) {
   // Extends whatever the shards did not cover (e.g. a root seq node's
   // witness table) and combines: the warmed child values are memo hits, so
   // the result is bit-identical to an unsharded extend-and-combine.
-  LAHAR_RETURN_NOT_OK(root_->ExtendTo(t));
-  return root_->Prob(t, t);
+  LAHAR_RETURN_NOT_OK(root_->ExtendTo(t_));
+  return root_->Prob(t_, t_);
 }
 
 size_t SafePlanEngine::UnitCost(size_t unit) const {
   return root_->UnitCostOf(unit);
 }
 
-SessionCounters SafePlanEngine::MemoStats() const {
+SessionCounters SafePlanEngine::Counters() const {
   SessionCounters out;
   root_->AddMemoStats(&out);
+  out.resident_units = num_units();
   return out;
 }
 
+// The session-state version byte and clock, then the engine-level blob
+// under its own version byte.
 Status SafePlanEngine::SaveState(serial::Writer* w) const {
+  w->U8(kSafeSessionVersion);
+  w->U32(t_);
   w->U8(kSafeStateVersion);
   return root_->SaveNode(w);
 }
 
 Status SafePlanEngine::LoadState(serial::Reader* r) {
   uint8_t version = 0;
+  LAHAR_RETURN_NOT_OK(r->U8(&version));
+  if (version != kSafeSessionVersion) {
+    return Status::InvalidArgument("unsupported safe-session state");
+  }
+  LAHAR_RETURN_NOT_OK(r->U32(&t_));
   LAHAR_RETURN_NOT_OK(r->U8(&version));
   if (version != kSafeStateVersion) {
     return Status::InvalidArgument("unsupported safe-plan state version");

@@ -11,12 +11,13 @@
 //                 witness in [ts, tf] (T_w); q' must hold in [T_p, T_w - 1].
 //   pi_-x(P)    — independent-project: 1 - prod over groundings of x.
 //
-// All tables are evaluated lazily and memoized. The engine is driven one
-// tick at a time through the shard protocol below, by SafeQuerySession
-// (engine/session.h) — for standing queries and for batch Lahar::Run
-// alike, which is that session run to the horizon. Over an unbounded
-// stream the evaluator keeps per-tick cost and memory flat instead of
-// growing with the horizon:
+// All tables are evaluated lazily and memoized. The engine is a
+// QuerySession (engine/session.h) driven one tick at a time — for standing
+// queries and for batch Lahar::Run alike, which is that session run to the
+// horizon. Each tick extends the plan's bounded reg-leaf rows and seq
+// witness tables by one column (they grow monotonically in tf) instead of
+// recomputing the whole horizon. Over an unbounded stream the evaluator
+// keeps per-tick cost and memory flat instead of growing with the horizon:
 //
 //  * seq nodes walk only the timesteps whose witness probability is
 //    nonzero (a sorted index of the w[u] != 0 positions), skipping the
@@ -43,18 +44,29 @@
 #include <vector>
 
 #include "analysis/plan.h"
+#include "analysis/prepared.h"
 #include "common/serial.h"
 #include "engine/counters.h"
 #include "engine/regular_engine.h"
+#include "engine/session.h"
 
 namespace lahar {
 
-/// \brief Engine for Safe Queries: compiles a safe plan and evaluates it.
-class SafePlanEngine {
+/// \brief Engine for Safe Queries: compiles a safe plan and serves it as a
+/// session.
+///
+/// Units are the plan's independent grounding groups — the children of its
+/// projection node, which touch disjoint streams by the safety
+/// precondition. AdvanceShard extends each group's tables and warms its
+/// diagonal memo entry, and CommitAdvance combines the warmed values, so
+/// the answer does not depend on how the units were split.
+class SafePlanEngine : public QuerySession {
  public:
-  /// Compiles the plan (Algorithm 1) and prepares evaluation. Fails with
-  /// UnsafeQuery if no safe plan exists.
-  static Result<SafePlanEngine> Create(const NormalizedQuery& q,
+  /// Compiles the plan (Algorithm 1) for prepared.normalized and prepares
+  /// evaluation; reg leaves compile through prepared.kernel_cache, so
+  /// structurally equal leaves across plans — and standalone regular
+  /// queries — compile once. Fails with UnsafeQuery if no safe plan exists.
+  static Result<SafePlanEngine> Create(const PreparedQuery& prepared,
                                        const EventDatabase& db,
                                        const PlanOptions& options = {});
 
@@ -64,47 +76,32 @@ class SafePlanEngine {
   /// zero-probability event).
   Result<double> IntervalProb(Timestamp ts, Timestamp tf);
 
-  // --- sharded serving protocol (SafeQuerySession) -----------------------
-  // Independent grounding groups — the children of a projection node, which
-  // touch disjoint streams by the safety precondition — are exposed as
-  // shard units. Per tick t: PrepareShard once, ShardAdvance over disjoint
-  // unit ranges (any threads, database quiescent), then FinishAdvance
-  // single-threaded. Reg-leaf rows and seq witness tables gain one column
-  // per tick (they grow monotonically in tf), and the combined answer does
-  // not depend on how the units were split.
+  // --- QuerySession --------------------------------------------------------
+  Timestamp time() const override { return t_; }
+  size_t num_units() const override;
+  /// A unit's cost reflects its live rows, witness density, and grounding
+  /// fan-out, not just its leaf count.
+  size_t UnitCost(size_t unit) const override;
+  /// Resets the per-unit status slots for the tick.
+  void PrepareAdvance() override;
+  /// Extends units [begin, end) to time()+1 and pre-computes their
+  /// grounding probabilities into the (bounded) memos. Errors latch per
+  /// unit and surface at CommitAdvance.
+  void AdvanceShard(size_t begin, size_t end) override;
+  /// Surfaces any latched shard error, extends whatever the shards did not
+  /// cover, and returns mu(q@t).
+  Result<double> CommitAdvance() override;
+  /// Memo/row-cache counters aggregated over the whole evaluator tree.
+  SessionCounters Counters() const override;
 
-  /// Number of independently advanceable units (>= 1).
-  size_t NumShardUnits() const;
-
-  /// Single-threaded per-tick preparation: resets the per-unit status
-  /// slots for tick `t`.
-  void PrepareShard(Timestamp t);
-
-  /// Advances units [begin, end) to tick `t`: extends their tables and
-  /// pre-computes their grounding probabilities into the (bounded) memos.
-  /// Errors latch per unit and surface at FinishAdvance.
-  void ShardAdvance(size_t begin, size_t end, Timestamp t);
-
-  /// Completes the tick: surfaces any latched shard error, extends whatever
-  /// the shards did not cover, and returns mu(q@t).
-  Result<double> FinishAdvance(Timestamp t);
-
-  /// Per-unit cost estimate (a unit is one grounding subtree) for runtime
-  /// shard balancing: reflects live rows, witness density, and grounding
-  /// fan-out, not just leaf count.
-  size_t UnitCost(size_t unit) const;
-
-  /// Memo/row-cache counters aggregated over the whole evaluator tree
-  /// (the memo fields of SessionCounters; the rest stay zero).
-  SessionCounters MemoStats() const;
-
-  /// Serializes the incremental evaluation state (frontier chains, witness
-  /// tables, clock-free: the clock lives in SafeQuerySession). The blob
-  /// must be loaded into an engine created over an identical database
-  /// snapshot by the same query; bounded caches are not serialized — they
-  /// refill bit-identically on demand.
-  Status SaveState(serial::Writer* w) const;
-  Status LoadState(serial::Reader* r);
+  /// Serializes the clock and the incremental evaluation state (frontier
+  /// chains, witness tables). The blob must be loaded into an engine
+  /// created over an identical database snapshot by the same query;
+  /// bounded caches are not serialized — they refill bit-identically on
+  /// demand.
+  bool SupportsStateRestore() const override { return true; }
+  Status SaveState(serial::Writer* w) const override;
+  Status LoadState(serial::Reader* r) override;
 
   /// The compiled plan (for inspection / the query_classifier example).
   const SafePlanNode& plan() const { return *plan_; }
@@ -116,14 +113,17 @@ class SafePlanEngine {
   class ProjectEval;
 
  private:
-  const EventDatabase* db_ = nullptr;
-  PlanOptions options_;
+  explicit SafePlanEngine(QueryClass query_class)
+      : QuerySession(query_class, EngineKind::kSafePlan, /*exact=*/true) {}
+
   SafePlanPtr plan_;
   std::shared_ptr<void> root_holder_;  // owns the eval tree
   NodeEval* root_ = nullptr;
-  // Per-unit shard status, sized by PrepareShard; slot i is written only by
-  // the shard that owns unit i, then read single-threaded at FinishAdvance.
+  // Per-unit shard status, sized by PrepareAdvance; slot i is written only
+  // by the shard that owns unit i, then read single-threaded at
+  // CommitAdvance.
   std::vector<Status> shard_status_;
+  Timestamp t_ = 0;
 };
 
 }  // namespace lahar

@@ -1,7 +1,13 @@
 #include "engine/sampling_engine.h"
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <limits>
 #include <unordered_map>
+#include <utility>
 
 #include "analysis/bindings.h"
 #include "inference/viterbi.h"
@@ -9,15 +15,35 @@
 namespace lahar {
 
 size_t HoeffdingSamples(double epsilon, double delta) {
-  return static_cast<size_t>(
-      std::ceil(std::log(2.0 / delta) / (2.0 * epsilon * epsilon)));
+  const double n =
+      std::ceil(std::log(2.0 / delta) / (2.0 * epsilon * epsilon));
+  // Casting a value past size_t's range is undefined; 2^64 is exact.
+  return n >= 1 && n < 0x1p64 ? static_cast<size_t>(n) : 0;
 }
+
+namespace {
+
+// Every sample owns at least a generator, a status slot and an outcome
+// byte; a count whose arrays alone exceed physical memory (or the address
+// space) cannot be allocated.
+size_t MaxSamples() {
+  double bytes =
+      static_cast<double>(std::numeric_limits<std::ptrdiff_t>::max());
+  const long pages = sysconf(_SC_PHYS_PAGES);
+  const long page_size = sysconf(_SC_PAGESIZE);
+  if (pages > 0 && page_size > 0) {
+    bytes = std::min(bytes, static_cast<double>(pages) * page_size);
+  }
+  return static_cast<size_t>(bytes / (sizeof(Rng) + sizeof(Status) + 1));
+}
+
+}  // namespace
 
 Result<SamplingEngine> SamplingEngine::Build(const PreparedQuery& prepared,
                                              const EventDatabase& db,
                                              size_t num_samples) {
   if (prepared.ast == nullptr) return Status::InvalidArgument("null query");
-  SamplingEngine engine;
+  SamplingEngine engine(prepared.classification.query_class);
   engine.query_ = prepared.ast;
   engine.db_ = &db;
   engine.num_samples_ = num_samples;
@@ -80,12 +106,15 @@ Result<SamplingEngine> SamplingEngine::Create(const PreparedQuery& prepared,
   if (!(options.delta > 0 && options.delta < 1)) {
     return Status::InvalidArgument("sampling delta must lie in (0, 1)");
   }
-  LAHAR_ASSIGN_OR_RETURN(
-      SamplingEngine engine,
-      Build(prepared, db,
-            options.num_samples > 0
-                ? options.num_samples
-                : HoeffdingSamples(options.epsilon, options.delta)));
+  const size_t n = options.num_samples > 0
+                       ? options.num_samples
+                       : HoeffdingSamples(options.epsilon, options.delta);
+  if (n == 0 || n > MaxSamples()) {
+    return Status::InvalidArgument(
+        "sampling needs a nonzero sample count small enough to allocate; "
+        "raise epsilon or set num_samples");
+  }
+  LAHAR_ASSIGN_OR_RETURN(SamplingEngine engine, Build(prepared, db, n));
   Rng seeder(options.seed);
   for (size_t i = 0; i < engine.num_samples_; ++i) {
     engine.sample_rngs_.push_back(seeder.Split());
@@ -175,7 +204,7 @@ void SamplingEngine::ExtendWorld(size_t i, Timestamp to) {
   }
 }
 
-Status SamplingEngine::PrepareStep() {
+Status SamplingEngine::RefreshSymbols() {
   for (GroundedChain& chain : chains_) {
     if (chain.symbols->CoversDomains(*db_)) continue;
     LAHAR_ASSIGN_OR_RETURN(SymbolTable grown,
@@ -185,7 +214,12 @@ Status SamplingEngine::PrepareStep() {
   return Status::OK();
 }
 
-void SamplingEngine::StepSampleRange(size_t begin, size_t end) {
+void SamplingEngine::PrepareAdvance() {
+  Status s = RefreshSymbols();
+  if (prepare_status_.ok()) prepare_status_ = std::move(s);
+}
+
+void SamplingEngine::AdvanceShard(size_t begin, size_t end) {
   end = std::min(end, num_samples_);
   const Timestamp next = t_ + 1;
   for (size_t i = begin; i < end; ++i) {
@@ -200,8 +234,10 @@ void SamplingEngine::StepSampleRange(size_t begin, size_t end) {
   }
 }
 
-Result<double> SamplingEngine::CommitStep() {
+Result<double> SamplingEngine::CommitAdvance() {
   t_ = t_ + 1;
+  Status prep = std::exchange(prepare_status_, Status::OK());
+  if (!prep.ok()) return prep;
   size_t accepted = 0;
   for (size_t i = 0; i < num_samples_; ++i) {
     if (!sample_status_[i].ok()) return sample_status_[i];
@@ -210,38 +246,32 @@ Result<double> SamplingEngine::CommitStep() {
   return static_cast<double>(accepted) / static_cast<double>(num_samples_);
 }
 
-Result<double> SamplingEngine::Step() {
-  LAHAR_RETURN_NOT_OK(PrepareStep());
-  StepSampleRange(0, num_samples_);
-  return CommitStep();
-}
-
-Result<std::vector<double>> SamplingEngine::RunTo(Timestamp to) {
-  std::vector<double> probs(to + 1, 0.0);
+Result<std::vector<double>> SamplingEngine::RunToHorizon(Timestamp horizon) {
+  std::vector<double> probs(horizon + 1, 0.0);
   if (incremental()) {
-    // The database holds still for the run: one PrepareStep covers it.
-    LAHAR_RETURN_NOT_OK(PrepareStep());
-    while (t_ < to) {
-      StepSampleRange(0, num_samples_);
-      LAHAR_ASSIGN_OR_RETURN(double p, CommitStep());
+    // The database holds still for the run: one refresh covers it.
+    LAHAR_RETURN_NOT_OK(RefreshSymbols());
+    while (t_ < horizon) {
+      AdvanceShard(0, num_samples_);
+      LAHAR_ASSIGN_OR_RETURN(double p, CommitAdvance());
       probs[t_] = p;
     }
     return probs;
   }
-  std::vector<size_t> accepted(to + 1, 0);
+  std::vector<size_t> accepted(horizon + 1, 0);
   for (size_t i = 0; i < num_samples_; ++i) {
-    ExtendWorld(i, to);
+    ExtendWorld(i, horizon);
     LAHAR_ASSIGN_OR_RETURN(std::vector<bool> sat,
                            SatisfiedAt(*query_, *db_, worlds_[i]));
-    for (Timestamp t = t_ + 1; t <= to && t < sat.size(); ++t) {
+    for (Timestamp t = t_ + 1; t <= horizon && t < sat.size(); ++t) {
       accepted[t] += sat[t] ? 1 : 0;
     }
   }
-  for (Timestamp t = t_ + 1; t <= to; ++t) {
+  for (Timestamp t = t_ + 1; t <= horizon; ++t) {
     probs[t] =
         static_cast<double>(accepted[t]) / static_cast<double>(num_samples_);
   }
-  t_ = std::max(t_, to);
+  t_ = std::max(t_, horizon);
   return probs;
 }
 

@@ -15,8 +15,9 @@
 //
 // Every caller draws the same worlds, one draw per (world, stream, tick) in
 // tick order, whether it steps one tick at a time (serving) or runs to a
-// target tick in one pass (batch, catch-up, restore). The engine is served
-// through SamplingSession (engine/session.h), which Lahar::Run also drives.
+// target tick in one pass (RunToHorizon: batch, catch-up, restore). The
+// engine is a QuerySession (engine/session.h) whose units are samples, so
+// even provably #P-hard queries (Section 3.4) host as standing queries.
 #ifndef LAHAR_ENGINE_SAMPLING_ENGINE_H_
 #define LAHAR_ENGINE_SAMPLING_ENGINE_H_
 
@@ -26,6 +27,7 @@
 #include "analysis/prepared.h"
 #include "automaton/nfa.h"
 #include "engine/reference.h"
+#include "engine/session.h"
 
 namespace lahar {
 
@@ -38,7 +40,8 @@ struct SamplingOptions {
   size_t num_samples = 0;
 };
 
-/// Samples required for the (epsilon, delta) guarantee.
+/// Samples required for the (epsilon, delta) guarantee; 0 when that count
+/// is not finite or does not fit size_t.
 size_t HoeffdingSamples(double epsilon, double delta);
 
 /// How Determinized collapses each stream to one trajectory.
@@ -49,12 +52,12 @@ enum class Determinization {
 
 /// \brief Possible-world engine: Monte-Carlo over sampled worlds, or one
 /// determinized world.
-class SamplingEngine {
+class SamplingEngine : public QuerySession {
  public:
   /// Builds the sampler; picks the NFA path when the prepared query is
   /// Regular or Extended Regular, the reference-evaluator path otherwise.
-  /// Fails with InvalidArgument unless epsilon is finite and > 0 and
-  /// 0 < delta < 1.
+  /// Fails with InvalidArgument unless epsilon is finite and > 0, 0 < delta
+  /// < 1, and the sample count is nonzero and small enough to allocate.
   static Result<SamplingEngine> Create(const PreparedQuery& prepared,
                                        const EventDatabase& db,
                                        const SamplingOptions& options = {});
@@ -65,44 +68,36 @@ class SamplingEngine {
                                              const EventDatabase& db,
                                              Determinization mode);
 
-  /// Advances to `to` and returns the estimates for t in (time(), to]
-  /// (index 0 and consumed ticks stay 0). The world path extends each world
-  /// through `to` with Step()'s draws and evaluates it once: W |= q@t
-  /// depends only on the world through t, so a stepped run agrees.
-  Result<std::vector<double>> RunTo(Timestamp to);
-
-  /// RunTo the database horizon.
-  Result<std::vector<double>> Run() { return RunTo(db_->horizon()); }
-
-  /// Advances one timestep and returns the estimate at the new time. The
-  /// world path re-evaluates each world's whole prefix — O(t * |W|) per
-  /// tick, but it hosts even unsafe queries as standing queries.
-  /// Equivalent to StepSampleRange(0, n) followed by CommitStep().
-  Result<double> Step();
-
-  /// Single-threaded preparation before a (possibly sharded) step: extends
-  /// the NFA path's shared symbol tables over domain values interned since
-  /// the last tick. Must not run concurrently with StepSampleRange; Step()
-  /// calls it itself. No-op on the general path.
-  Status PrepareStep();
-
-  /// Split form of Step() for the sharded runtime executor: advances only
-  /// the samples in [begin, end) to time()+1. Samples are independent, so
-  /// disjoint ranges may run on different threads; the database must be
-  /// quiescent meanwhile. Errors are recorded per sample and surface at
-  /// CommitStep.
-  void StepSampleRange(size_t begin, size_t end);
-
-  /// Completes a split step once every sample range has been advanced:
-  /// bumps time() and returns the acceptance fraction (an integer count
-  /// over samples, so the estimate is independent of sharding).
-  Result<double> CommitStep();
+  // --- QuerySession --------------------------------------------------------
+  Timestamp time() const override { return t_; }
+  size_t num_units() const override { return num_samples_; }
+  size_t UnitCost(size_t) const override { return 1; }
+  /// Extends the NFA path's shared symbol tables over domain values
+  /// interned since the last tick; an error latches and surfaces at
+  /// CommitAdvance. No-op on the general path.
+  void PrepareAdvance() override;
+  /// Advances the samples in [begin, end) to time()+1. The world path
+  /// re-evaluates each world's whole prefix — O(t * |W|) per tick, but it
+  /// hosts even unsafe queries as standing queries. Errors are recorded
+  /// per sample.
+  void AdvanceShard(size_t begin, size_t end) override;
+  /// Bumps time() (even when the prepare failed, so the clock stays in step
+  /// with the executor's tick) and returns the acceptance fraction — an
+  /// integer count over samples, so the estimate is independent of
+  /// sharding. A latched error wins over the estimate.
+  Result<double> CommitAdvance() override;
+  /// The world path extends each world through `horizon` with the
+  /// Advance() loop's draws and evaluates it once: W |= q@t depends only on
+  /// the world through t, so a stepped run agrees.
+  Result<std::vector<double>> RunToHorizon(Timestamp horizon) override;
 
   bool incremental() const { return !chains_.empty(); }
   size_t num_samples() const { return num_samples_; }
-  Timestamp time() const { return t_; }
 
  private:
+  explicit SamplingEngine(QueryClass query_class)
+      : QuerySession(query_class, EngineKind::kSampling, /*exact=*/false) {}
+
   // Grounds the query and picks the path for `num_samples` worlds.
   static Result<SamplingEngine> Build(const PreparedQuery& prepared,
                                       const EventDatabase& db,
@@ -111,6 +106,8 @@ class SamplingEngine {
   // the determinized path, or drawn from sample i's generator (bottom,
   // drawing nothing, past the stream's horizon).
   DomainIndex Draw(size_t i, StreamId s, Timestamp t, DomainIndex prev);
+  // Extends the NFA path's symbol tables over newly interned values.
+  Status RefreshSymbols();
   // One NFA tick of sample i; `next` is t_ + 1.
   void StepNfaSample(size_t i, Timestamp next);
   // Extends world i tick-major through `to` and no further, even when
@@ -141,11 +138,12 @@ class SamplingEngine {
   std::vector<Rng> sample_rngs_;     // one generator per sample
   // Determinized only: the one world's trajectory per drawn stream.
   std::vector<std::vector<DomainIndex>> paths_;
-  // Per-sample outcome of the tick in flight (written by StepSampleRange,
-  // folded by CommitStep). uint8_t, not vector<bool>: samples on different
-  // shards must not share bytes.
+  // Per-sample outcome of the tick in flight (written by AdvanceShard,
+  // folded by CommitAdvance). uint8_t, not vector<bool>: samples on
+  // different shards must not share bytes.
   std::vector<uint8_t> accepted_;
   std::vector<Status> sample_status_;
+  Status prepare_status_;
   // General path only: per-sample world prefixes.
   std::vector<World> worlds_;
 };

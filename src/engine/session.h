@@ -1,20 +1,21 @@
 // The engine-agnostic standing-query abstraction: one QuerySession per
-// registered query, regardless of its class. Every evaluation path —
-// the streaming kernels of Theorems 3.3/3.7, the safe-plan algebra of
-// Section 3.3, and the Monte-Carlo sampler of Section 3.5 — implements the
-// same incremental protocol, so the runtime (src/runtime/) multiplexes all
-// four query classes through a single serving path, and batch evaluation
-// (Lahar::Run) is the same session run to the horizon (RunToHorizon):
+// registered query, regardless of its class. Every evaluation method —
+// the Markov chains of Theorems 3.3/3.7, the safe-plan algebra of Section
+// 3.3, and the Monte-Carlo sampler of Section 3.5 — is an engine that
+// implements this incremental protocol itself, so the runtime
+// (src/runtime/) multiplexes all four query classes through a single
+// serving path, and batch evaluation (Lahar::Run) is the same session run
+// to the horizon (RunToHorizon):
 //
-//   class            session              per-tick cost   answers
-//   Regular          StreamingSession     O(1)            exact
-//   ExtendedRegular  StreamingSession     O(m)            exact
-//   Safe             SafeQuerySession     O(live window)  exact
-//   Unsafe           SamplingSession      O(T * |W|)      (eps, delta)
+//   class            session                per-tick cost   answers
+//   Regular          ExtendedRegularEngine  O(1)            exact
+//   ExtendedRegular  ExtendedRegularEngine  O(m)            exact
+//   Safe             SafePlanEngine         O(live window)  exact
+//   Unsafe           SamplingEngine         O(T * |W|)      (eps, delta)
 //
 // RunToHorizon is batch evaluation, registration catch-up and checkpoint
-// restore alike. The exact sessions run it as the Advance() loop; the
-// SamplingSession extends each world through the horizon and evaluates it
+// restore alike. The exact engines run it as the Advance() loop; the
+// SamplingEngine extends each world through the horizon and evaluates it
 // once (O(T * |W|) per sample in total), drawing exactly the worlds the
 // Advance() loop would, so every class publishes exactly the batch answers.
 //
@@ -40,14 +41,25 @@
 #include <string>
 #include <vector>
 
+#include "analysis/classify.h"
 #include "analysis/prepared.h"
 #include "common/serial.h"
 #include "engine/counters.h"
-#include "engine/lahar.h"
 #include "engine/regular_engine.h"
-#include "engine/safe_engine.h"
 
 namespace lahar {
+
+/// Which engine evaluates a query.
+enum class EngineKind {
+  kRegular,
+  kExtendedRegular,
+  kSafePlan,
+  kSampling,
+};
+
+const char* EngineKindName(EngineKind kind);
+
+struct LaharOptions;  // engine/lahar.h
 
 /// \brief A cross-session shared evaluation unit (docs/SHARING.md): one
 /// RegularChain stepped once per tick on behalf of every structurally
@@ -65,10 +77,8 @@ class SharedSubChain {
   /// `frontier_history` bounds how many recent ticks ProbAt can answer; it
   /// must exceed the deepest read lag (the executor sizes it to the window
   /// cap plus slack).
-  SharedSubChain(std::string key, RegularChain chain,
-                 size_t frontier_history);
+  SharedSubChain(RegularChain chain, size_t frontier_history);
 
-  const std::string& key() const { return key_; }
   Timestamp time() const { return chain_.time(); }
 
   /// Steps the chain up to timestep `to` (idempotent for to <= time()),
@@ -96,7 +106,6 @@ class SharedSubChain {
   const Status& status() const { return chain_.status(); }
 
  private:
-  std::string key_;
   RegularChain chain_;
   std::vector<double> ring_;
   size_t readers_ = 0;
@@ -125,7 +134,7 @@ class QuerySession {
   virtual Timestamp time() const = 0;
 
   /// Number of independently steppable units: per-grounding chains for the
-  /// streaming engines, Monte-Carlo samples for the sampling engine, and
+  /// chain engine, Monte-Carlo samples for the sampling engine, and
   /// independent grounding groups (project children) for a safe plan.
   virtual size_t num_units() const = 0;
 
@@ -212,8 +221,12 @@ class QuerySession {
   virtual size_t NumShareableUnits() const { return 0; }
 
   /// Canonical structural key of shareable unit `i` (see
-  /// analysis/plan.h CanonicalQueryKey).
-  virtual const std::string& ShareableUnitKey(size_t i) const;
+  /// analysis/plan.h CanonicalQueryKey), computed on demand: only sharing
+  /// registrations ask for it.
+  virtual std::string ShareableUnitKey(size_t i) const {
+    (void)i;
+    return {};
+  }
 
   /// Clones unit `i`'s live chain into a fresh shared unit that other
   /// sessions with the same key can adopt. Null when the unit cannot seed
@@ -241,6 +254,8 @@ class QuerySession {
  protected:
   QuerySession(QueryClass query_class, EngineKind engine_kind, bool exact)
       : query_class_(query_class), engine_kind_(engine_kind), exact_(exact) {}
+  QuerySession(QuerySession&&) = default;
+  QuerySession& operator=(QuerySession&&) = default;
 
  private:
   QueryClass query_class_;
@@ -248,15 +263,16 @@ class QuerySession {
   bool exact_;
 };
 
-/// Routes a prepared query to the cheapest session able to serve it:
-/// Regular/ExtendedRegular -> StreamingSession, Safe -> SafeQuerySession
+/// Routes a prepared query to the cheapest engine able to serve it:
+/// Regular/ExtendedRegular -> ExtendedRegularEngine, Safe -> SafePlanEngine
 /// (falling back to sampling when no safe plan compiles and
-/// options.allow_sampling_fallback is set), Unsafe -> SamplingSession (or
+/// options.allow_sampling_fallback is set), Unsafe -> SamplingEngine (or
 /// an UnsafeQuery error when fallback is disabled). Rejections carry the
-/// query's class in the kQueryClassPayload status payload.
+/// query's class in the kQueryClassPayload status payload. The engines take
+/// their compiled-kernel cache and row pool from `prepared`.
 Result<std::unique_ptr<QuerySession>> CreateQuerySession(
     EventDatabase* db, const PreparedQuery& prepared,
-    const LaharOptions& options = {});
+    const LaharOptions& options);
 
 }  // namespace lahar
 

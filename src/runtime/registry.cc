@@ -14,14 +14,7 @@ QueryRegistry::QueryRegistry(EventDatabase* db, LaharOptions options,
       // the window plus slack for the arming tick.
       frontier_history_(window_ticks + 2),
       shared_kernels_(std::make_shared<KernelCache>()),
-      shared_rows_(std::make_shared<TransitionRowPool>()) {
-  // Safe plans compile their reg leaves through the registry-wide cache
-  // (unless the caller wired a cache of their own), so structurally equal
-  // leaves across plans — and standalone regular queries — compile once.
-  if (options_.plan.safe.kernel_cache == nullptr) {
-    options_.plan.safe.kernel_cache = shared_kernels_.get();
-  }
-}
+      shared_rows_(std::make_shared<TransitionRowPool>()) {}
 
 Result<QueryId> QueryRegistry::Register(std::string_view text,
                                         Timestamp tick) {
@@ -57,12 +50,12 @@ Result<QueryId> QueryRegistry::Register(const PreparedQuery& prepared,
 Result<std::unique_ptr<StandingQuery>> QueryRegistry::BuildQuery(
     QueryId id, const PreparedQuery& prepared, std::string_view text,
     Timestamp tick, serial::Reader* state) {
-  KernelCache* plan_cache = prepared.kernel_cache.get();
-  KernelCache::Stats shared_before = shared_kernels_->stats();
-  KernelCache::Stats plan_before;
-  if (plan_cache != nullptr && plan_cache != shared_kernels_.get()) {
-    plan_before = plan_cache->stats();
-  }
+  // Every engine compiles through the prepared query's kernel cache (the
+  // registry-wide one for text registrations), so its hit/miss delta is
+  // this query's kernel accounting.
+  const KernelCache* cache = prepared.kernel_cache.get();
+  const KernelCache::Stats before =
+      cache != nullptr ? cache->stats() : KernelCache::Stats{};
   LAHAR_ASSIGN_OR_RETURN(std::unique_ptr<QuerySession> session,
                          CreateQuerySession(db_, prepared, options_));
   auto q = std::make_unique<StandingQuery>();
@@ -72,13 +65,9 @@ Result<std::unique_ptr<StandingQuery>> QueryRegistry::BuildQuery(
   q->engine = session->engine_kind();
   q->exact = session->exact();
   q->session = std::move(session);
-  KernelCache::Stats shared_after = shared_kernels_->stats();
-  q->kernel_hits = shared_after.hits - shared_before.hits;
-  q->kernel_misses = shared_after.misses - shared_before.misses;
-  if (plan_cache != nullptr && plan_cache != shared_kernels_.get()) {
-    KernelCache::Stats plan_after = plan_cache->stats();
-    q->kernel_hits += plan_after.hits - plan_before.hits;
-    q->kernel_misses += plan_after.misses - plan_before.misses;
+  if (cache != nullptr) {
+    q->kernel_hits = cache->stats().hits - before.hits;
+    q->kernel_misses = cache->stats().misses - before.misses;
   }
   if (state != nullptr && q->session->SupportsStateRestore()) {
     LAHAR_RETURN_NOT_OK(q->session->LoadState(state));
@@ -164,7 +153,7 @@ void QueryRegistry::AttachSharing(StandingQuery* q) {
   QuerySession* s = q->session.get();
   size_t n = s->NumShareableUnits();
   for (size_t i = 0; i < n; ++i) {
-    const std::string& key = s->ShareableUnitKey(i);
+    const std::string key = s->ShareableUnitKey(i);
     if (key.empty()) continue;
     UnitPool& pool = sharing_pool_[key];
     pool.members.push_back(UnitMember{q, i, false});

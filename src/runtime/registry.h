@@ -19,6 +19,7 @@
 
 #include "automaton/kernel.h"
 #include "automaton/rows.h"
+#include "engine/lahar.h"
 #include "engine/session.h"
 #include "runtime/stats.h"
 

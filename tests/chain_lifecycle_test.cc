@@ -30,8 +30,8 @@
 #include "automaton/rows.h"
 #include "common/serial.h"
 #include "engine/extended_engine.h"
+#include "engine/lahar.h"
 #include "engine/session.h"
-#include "engine/streaming.h"
 #include "runtime/executor.h"
 #include "runtime/replay.h"
 #include "test_util.h"
@@ -43,7 +43,8 @@ using namespace std::chrono_literals;
 
 using ::lahar::testing::AddIndependentStream;
 using ::lahar::testing::AddMarkovStream;
-using ::lahar::testing::MustParse;
+using ::lahar::testing::MustAdvance;
+using ::lahar::testing::MustPrepare;
 using ::lahar::testing::StepDist;
 
 constexpr const char* kQuery = "At(x, l1 : l1 = 'a'); At(x, l2 : l2 = 'b')";
@@ -64,11 +65,7 @@ void AddScheduledStream(EventDatabase* db, const std::string& key,
 
 Result<ExtendedRegularEngine> MakeEngine(EventDatabase* db,
                                          const ChainOptions& opts) {
-  QueryPtr q = MustParse(db, kQuery);
-  if (q == nullptr) return Status::Internal("parse failed");
-  auto nq = Normalize(*q);
-  if (!nq.ok()) return nq.status();
-  return ExtendedRegularEngine::Create(*nq, *db, opts);
+  return ExtendedRegularEngine::Create(MustPrepare(db, kQuery), *db, opts);
 }
 
 ChainOptions Lifecycle(bool lazy, bool spill, uint32_t cold_after = 4) {
@@ -107,7 +104,7 @@ TEST(ChainLifecycleTest, AllModesBitIdenticalToMaterialized) {
   ASSERT_OK(lazy.status());
   ASSERT_OK(spill.status());
   ASSERT_OK(both.status());
-  ASSERT_EQ(dense->num_chains(), 5u);
+  ASSERT_EQ(dense->num_units(), 5u);
   EXPECT_FALSE(dense->lifecycle_enabled());
   EXPECT_TRUE(both->lifecycle_enabled());
   // Lazy engines materialize nothing until first evidence.
@@ -115,14 +112,14 @@ TEST(ChainLifecycleTest, AllModesBitIdenticalToMaterialized) {
   EXPECT_EQ(both->num_stub(), 5u);
 
   for (Timestamp t = 1; t <= horizon; ++t) {
-    const double pd = dense->Step();
-    const double pl = lazy->Step();
-    const double ps = spill->Step();
-    const double pb = both->Step();
+    const double pd = MustAdvance(*dense);
+    const double pl = MustAdvance(*lazy);
+    const double ps = MustAdvance(*spill);
+    const double pb = MustAdvance(*both);
     EXPECT_EQ(pd, pl) << "t=" << t;
     EXPECT_EQ(pd, ps) << "t=" << t;
     EXPECT_EQ(pd, pb) << "t=" << t;
-    for (size_t i = 0; i < dense->num_chains(); ++i) {
+    for (size_t i = 0; i < dense->num_units(); ++i) {
       EXPECT_EQ(dense->chain_probs()[i], lazy->chain_probs()[i])
           << "t=" << t << " chain=" << i;
       EXPECT_EQ(dense->chain_probs()[i], spill->chain_probs()[i])
@@ -155,7 +152,7 @@ TEST(ChainLifecycleTest, AllModesBitIdenticalToMaterialized) {
   EXPECT_GE(both->rehydrations() + both->promotions(), 5u);
   // Non-resident bindings must actually shed their memory.
   EXPECT_LT(both->Footprint().bytes(), dense->Footprint().bytes());
-  EXPECT_LT(both->num_resident(), dense->num_chains());
+  EXPECT_LT(both->num_resident(), dense->num_units());
 }
 
 TEST(ChainLifecycleTest, SpillCheckpointRestoreRehydrateRoundTrip) {
@@ -178,7 +175,7 @@ TEST(ChainLifecycleTest, SpillCheckpointRestoreRehydrateRoundTrip) {
 
   const Timestamp checkpoint_at = 12;
   for (Timestamp t = 1; t <= checkpoint_at; ++t) {
-    EXPECT_EQ(dense->Step(), live->Step()) << "t=" << t;
+    EXPECT_EQ(MustAdvance(*dense), MustAdvance(*live)) << "t=" << t;
   }
   // "cold" and "wake" idled past cold_after with probability mass split
   // across partial-match states: frozen in the spill arena, not stubs.
@@ -211,12 +208,12 @@ TEST(ChainLifecycleTest, SpillCheckpointRestoreRehydrateRoundTrip) {
   // All three continue bit-identically; "wake" reawakens at t=20 and must
   // rehydrate from the restored spill entries.
   for (Timestamp t = checkpoint_at + 1; t <= horizon; ++t) {
-    const double pd = dense->Step();
-    const double pl = live->Step();
-    const double pr = restored->Step();
+    const double pd = MustAdvance(*dense);
+    const double pl = MustAdvance(*live);
+    const double pr = MustAdvance(*restored);
     EXPECT_EQ(pd, pl) << "t=" << t;
     EXPECT_EQ(pd, pr) << "t=" << t;
-    for (size_t i = 0; i < dense->num_chains(); ++i) {
+    for (size_t i = 0; i < dense->num_units(); ++i) {
       EXPECT_EQ(dense->chain_probs()[i], restored->chain_probs()[i])
           << "t=" << t << " chain=" << i;
     }
@@ -251,34 +248,33 @@ TEST(ChainLifecycleTest, RowPoolEvictionRebuildsDeterministically) {
   AddScheduledStream(&db, "i2", horizon,
                      [](Timestamp t) { return t > 1 && t <= 5; });
 
-  TransitionRowPool pool;
+  // Every engine below shares the prepared query's row pool.
+  PreparedQuery prepared = MustPrepare(&db, kQuery);
   ChainOptions dense_opts;
   dense_opts.step_mode = KernelStepMode::kSimd;
-  dense_opts.row_pool = &pool;
   ChainOptions cycle_opts = Lifecycle(/*lazy=*/true, /*spill=*/true,
                                       /*cold_after=*/3);
   cycle_opts.step_mode = KernelStepMode::kSimd;
-  cycle_opts.row_pool = &pool;
 
-  auto dense = MakeEngine(&db, dense_opts);
+  auto dense = ExtendedRegularEngine::Create(prepared, db, dense_opts);
   ASSERT_OK(dense.status());
   EXPECT_GT(dense->num_simd(), 0u);
   std::vector<double> expect_probs;
   std::vector<std::vector<double>> expect_chains;
   for (Timestamp t = 1; t <= horizon; ++t) {
-    expect_probs.push_back(dense->Step());
+    expect_probs.push_back(MustAdvance(*dense));
     expect_chains.push_back(dense->chain_probs());
   }
 
   // Two lifecycle passes over the same (now fully slid) row window: every
   // row request below the pool's high-water mark is a rebuild.
   for (int pass = 0; pass < 2; ++pass) {
-    auto cycle = MakeEngine(&db, cycle_opts);
+    auto cycle = ExtendedRegularEngine::Create(prepared, db, cycle_opts);
     ASSERT_OK(cycle.status());
     for (Timestamp t = 1; t <= horizon; ++t) {
-      EXPECT_EQ(expect_probs[t - 1], cycle->Step())
+      EXPECT_EQ(expect_probs[t - 1], MustAdvance(*cycle))
           << "pass=" << pass << " t=" << t;
-      for (size_t i = 0; i < cycle->num_chains(); ++i) {
+      for (size_t i = 0; i < cycle->num_units(); ++i) {
         EXPECT_EQ(expect_chains[t - 1][i], cycle->chain_probs()[i])
             << "pass=" << pass << " t=" << t << " chain=" << i;
       }
@@ -295,7 +291,7 @@ TEST(ChainLifecycleTest, RowPoolEvictionRebuildsDeterministically) {
   // lifecycle passes rebuilt into; the eviction churn must be visible.
   uint64_t rebuilds = 0;
   std::unordered_set<const TransitionRowClass*> seen;
-  for (size_t i = 0; i < dense->num_chains(); ++i) {
+  for (size_t i = 0; i < dense->num_units(); ++i) {
     const auto& cls = dense->chain(i).row_class();
     if (cls != nullptr && seen.insert(cls.get()).second) {
       rebuilds += cls->rebuilds();
@@ -315,28 +311,26 @@ TEST(ChainLifecycleTest, SimdChainsRehydrateOntoSimdPath) {
     return t <= 4 || (t > 16 && t <= 20);
   });
 
-  TransitionRowPool pool;
+  PreparedQuery prepared = MustPrepare(&db, kQuery);
   ChainOptions simd_dense;
   simd_dense.step_mode = KernelStepMode::kSimd;
-  simd_dense.row_pool = &pool;
   ChainOptions simd_cycle = Lifecycle(/*lazy=*/true, /*spill=*/true,
                                       /*cold_after=*/3);
   simd_cycle.step_mode = KernelStepMode::kSimd;
-  simd_cycle.row_pool = &pool;
 
-  auto dense = MakeEngine(&db, simd_dense);
-  auto cycle = MakeEngine(&db, simd_cycle);
+  auto dense = ExtendedRegularEngine::Create(prepared, db, simd_dense);
+  auto cycle = ExtendedRegularEngine::Create(prepared, db, simd_cycle);
   ASSERT_OK(dense.status());
   ASSERT_OK(cycle.status());
   EXPECT_EQ(dense->num_simd(), 2u);
 
   for (Timestamp t = 1; t <= horizon; ++t) {
-    EXPECT_EQ(dense->Step(), cycle->Step()) << "t=" << t;
+    EXPECT_EQ(MustAdvance(*dense), MustAdvance(*cycle)) << "t=" << t;
     if (t == 5) {
       // Both keys loud and materialized: "w" was promoted onto the path
       // its options name.
       ASSERT_EQ(cycle->num_resident(), 2u);
-      for (size_t i = 0; i < cycle->num_chains(); ++i) {
+      for (size_t i = 0; i < cycle->num_units(); ++i) {
         EXPECT_TRUE(cycle->chain(i).simd()) << "chain=" << i;
       }
     }
@@ -349,7 +343,7 @@ TEST(ChainLifecycleTest, SimdChainsRehydrateOntoSimdPath) {
   ASSERT_OK(cycle->ChainStatus());
   // "w" reawakened at t=17: back to resident, same path.
   ASSERT_EQ(cycle->num_resident(), 2u);
-  for (size_t i = 0; i < cycle->num_chains(); ++i) {
+  for (size_t i = 0; i < cycle->num_units(); ++i) {
     EXPECT_TRUE(cycle->chain(i).simd()) << "chain=" << i;
   }
   serial::Writer wd, wc;
@@ -407,18 +401,18 @@ TEST(ChainLifecycleTest, MarkovSlotsPromoteSpillAndRestoreBitIdentically) {
   ExtendedRegularEngine& dense = engines[0];
   ExtendedRegularEngine& lazy = engines[1];
   ExtendedRegularEngine& spill = engines[2];
-  ASSERT_EQ(dense.num_chains(), 4u);
+  ASSERT_EQ(dense.num_units(), 4u);
 
   std::vector<double> expected(horizon + 1, 0.0);
   std::vector<std::string> snaps(horizon + 1);
   for (Timestamp t = 1; t <= horizon; ++t) {
-    expected[t] = dense.Step();
+    expected[t] = MustAdvance(dense);
     serial::Writer wd;
     dense.SaveState(&wd);
     snaps[t] = wd.str();
     for (size_t c = 1; c < engines.size(); ++c) {
-      EXPECT_EQ(expected[t], engines[c].Step()) << "config=" << c
-                                                << " t=" << t;
+      EXPECT_EQ(expected[t], MustAdvance(engines[c]))
+          << "config=" << c << " t=" << t;
       serial::Writer w;
       engines[c].SaveState(&w);
       EXPECT_EQ(snaps[t], w.str()) << "config=" << c << " t=" << t;
@@ -445,7 +439,7 @@ TEST(ChainLifecycleTest, MarkovSlotsPromoteSpillAndRestoreBitIdentically) {
       serial::Reader r(snaps[at]);
       ASSERT_OK(restored->LoadState(&r));
       for (Timestamp t = at + 1; t <= horizon; ++t) {
-        EXPECT_EQ(expected[t], restored->Step())
+        EXPECT_EQ(expected[t], MustAdvance(*restored))
             << "config=" << c << " restored at " << at << " t=" << t;
       }
       ASSERT_OK(restored->ChainStatus());
@@ -489,7 +483,7 @@ Status LoadOneChain(const ChainOptions& opts, const std::string& snapshot) {
   serial::Reader r(snapshot);
   LAHAR_RETURN_NOT_OK(engine->LoadState(&r));
   for (int k = 0; k < 3; ++k) {
-    const double p = engine->Step();
+    LAHAR_ASSIGN_OR_RETURN(const double p, engine->Advance());
     if (!ChainState::ValidProb(p)) {
       return Status::Internal("stepped to " + std::to_string(p));
     }
@@ -791,7 +785,8 @@ TEST(ChainLifecycleStressTest, StripedShardsSurviveRebalanceChurn) {
   // Sequential ground truth with the same chain options.
   auto prepared = PrepareQuery(heavy, &archive);
   ASSERT_OK(prepared.status());
-  auto reference = StreamingSession::Create(&archive, *prepared, chain_opts);
+  auto reference =
+      ExtendedRegularEngine::Create(*prepared, archive, chain_opts);
   ASSERT_OK(reference.status());
   std::vector<double> expected;
   for (Timestamp t = 1; t <= horizon; ++t) {
@@ -799,9 +794,9 @@ TEST(ChainLifecycleStressTest, StripedShardsSurviveRebalanceChurn) {
     ASSERT_OK(p.status());
     expected.push_back(*p);
   }
-  ASSERT_GT(reference->engine().num_striped(), 0u);
-  const uint64_t seq_stripe_steps = reference->engine().stripe_steps();
-  const uint64_t seq_stripe_fallbacks = reference->engine().stripe_fallbacks();
+  ASSERT_GT(reference->num_striped(), 0u);
+  const uint64_t seq_stripe_steps = reference->stripe_steps();
+  const uint64_t seq_stripe_fallbacks = reference->stripe_fallbacks();
   EXPECT_GT(seq_stripe_steps, 0u);
 
   auto live = CloneDeclarations(archive);
@@ -910,7 +905,9 @@ TEST(ChainLifecycleStressTest, LifecycleChurnStaysBitIdenticalAcrossShards) {
   // bit-identity across configurations is the whole point.
   std::vector<std::vector<double>> expected(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    auto session = StreamingSession::Create(&archive, queries[i]);
+    auto session =
+        ExtendedRegularEngine::Create(MustPrepare(&archive, queries[i]),
+                                      archive);
     ASSERT_OK(session.status());
     for (Timestamp t = 1; t <= horizon; ++t) {
       auto p = session->Advance();

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "common/serial.h"
-#include "engine/streaming.h"
+#include "engine/extended_engine.h"
 #include "runtime/checkpoint.h"
 #include "runtime/executor.h"
 #include "runtime/ingest.h"
@@ -22,6 +22,7 @@ namespace {
 
 using ::lahar::testing::AddIndependentStream;
 using ::lahar::testing::AddMarkovStream;
+using ::lahar::testing::ChainSession;
 using ::lahar::testing::StepDist;
 using namespace std::chrono_literals;
 
@@ -308,7 +309,7 @@ TEST(IngestFaultInjectionTest, RejectedBatchRetriesWithoutWedgeOrDuplicates) {
   // corrected retry must apply exactly once and un-wedge the pipeline.
   EventDatabase archive = BuildArchive(4);
   const std::string query = "At('Joe', l : l = 'a')";
-  auto baseline = StreamingSession::Create(&archive, query);
+  auto baseline = ChainSession(&archive, query);
   ASSERT_OK(baseline.status());
   std::vector<double> expected;
   for (Timestamp t = 1; t <= archive.horizon(); ++t) {

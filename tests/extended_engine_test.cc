@@ -13,22 +13,20 @@ using ::lahar::testing::AddIndependentStream;
 using ::lahar::testing::AddMarkovStream;
 using ::lahar::testing::AddRelation;
 using ::lahar::testing::MustParse;
+using ::lahar::testing::MustPrepare;
 
 void ExpectMatchesBruteForce(EventDatabase* db, const std::string& text,
                              QueryClass expected_class, double tol = 1e-9) {
-  QueryPtr q = MustParse(db, text);
-  ASSERT_NE(q, nullptr);
-  ASSERT_OK(ValidateQuery(*q, *db));
-  auto nq = Normalize(*q);
-  ASSERT_OK(nq.status());
-  ASSERT_EQ(Classify(*nq, *db).query_class, expected_class) << text;
-  auto engine = ExtendedRegularEngine::Create(*nq, *db);
+  PreparedQuery pq = MustPrepare(db, text);
+  ASSERT_EQ(pq.classification.query_class, expected_class) << text;
+  auto engine = ExtendedRegularEngine::Create(pq, *db);
   ASSERT_OK(engine.status());
-  std::vector<double> got = engine->Run();
-  auto want = BruteForceProbabilities(*q, *db);
+  auto got = engine->RunToHorizon(db->horizon());
+  ASSERT_OK(got.status());
+  auto want = BruteForceProbabilities(*pq.ast, *db);
   ASSERT_OK(want.status());
-  for (size_t t = 1; t < got.size(); ++t) {
-    EXPECT_NEAR(got[t], (*want)[t], tol) << text << " at t=" << t;
+  for (size_t t = 1; t < got->size(); ++t) {
+    EXPECT_NEAR((*got)[t], (*want)[t], tol) << text << " at t=" << t;
   }
 }
 
@@ -71,12 +69,11 @@ TEST(ExtendedEngineTest, ChainCountMatchesKeys) {
   for (const char* who : {"A", "B", "C"}) {
     AddIndependentStream(&db, "At", who, {{{"a", 0.5}}});
   }
-  QueryPtr q = MustParse(&db, "At(x, l1 : l1 = 'a'); At(x, l2 : l2 = 'b')");
-  auto nq = Normalize(*q);
-  ASSERT_OK(nq.status());
-  auto engine = ExtendedRegularEngine::Create(*nq, db);
+  PreparedQuery pq =
+      MustPrepare(&db, "At(x, l1 : l1 = 'a'); At(x, l2 : l2 = 'b')");
+  auto engine = ExtendedRegularEngine::Create(pq, db);
   ASSERT_OK(engine.status());
-  EXPECT_EQ(engine->num_chains(), 3u);
+  EXPECT_EQ(engine->num_units(), 3u);
 }
 
 TEST(ExtendedEngineTest, ConstantKeyRestrictsBindings) {
@@ -132,22 +129,20 @@ TEST(BindingsTest, MultiAttributeKeysStayConsistent) {
   EXPECT_EQ(bindings.size(), 3u);
 }
 
-
 TEST(ExtendedEngineTest, PerBindingSeriesIdentifiesTheActor) {
   EventDatabase db;
   AddIndependentStream(&db, "At", "Joe", {{{"a", 0.9}}, {{"b", 0.9}}});
   AddIndependentStream(&db, "At", "Sue", {{{"b", 0.9}}, {{"a", 0.9}}});
-  QueryPtr q = MustParse(&db, "At(x, l1 : l1 = 'a'); At(x, l2 : l2 = 'b')");
-  auto nq = Normalize(*q);
-  ASSERT_OK(nq.status());
-  auto engine = ExtendedRegularEngine::Create(*nq, db);
+  PreparedQuery pq =
+      MustPrepare(&db, "At(x, l1 : l1 = 'a'); At(x, l2 : l2 = 'b')");
+  auto engine = ExtendedRegularEngine::Create(pq, db);
   ASSERT_OK(engine.status());
-  auto series = engine->RunPerBinding();
-  ASSERT_EQ(series.size(), 2u);
+  ASSERT_OK(engine->RunToHorizon(2).status());
+  ASSERT_EQ(engine->num_units(), 2u);
   SymbolId x = db.interner().Intern("x");
-  for (const auto& s : series) {
-    double p2 = s.probs[2];
-    if (s.binding.at(x) == db.Sym("Joe")) {
+  for (size_t i = 0; i < engine->num_units(); ++i) {
+    double p2 = engine->chain_probs()[i];
+    if (engine->binding(i).at(x) == db.Sym("Joe")) {
       EXPECT_NEAR(p2, 0.81, 1e-12);  // Joe did a -> b
     } else {
       EXPECT_NEAR(p2, 0.0, 1e-12);   // Sue went the other way
@@ -159,19 +154,16 @@ TEST(ExtendedEngineTest, PerBindingSeriesCombineToRunAnswer) {
   EventDatabase db;
   AddIndependentStream(&db, "At", "Joe", {{{"a", 0.6}}, {{"b", 0.5}}});
   AddIndependentStream(&db, "At", "Sue", {{{"a", 0.4}}, {{"b", 0.7}}});
-  QueryPtr q = MustParse(&db, "At(x, l1 : l1 = 'a'); At(x, l2 : l2 = 'b')");
-  auto nq = Normalize(*q);
-  ASSERT_OK(nq.status());
-  auto e1 = ExtendedRegularEngine::Create(*nq, db);
-  auto e2 = ExtendedRegularEngine::Create(*nq, db);
-  ASSERT_OK(e1.status());
-  ASSERT_OK(e2.status());
-  std::vector<double> combined = e1->Run();
-  auto series = e2->RunPerBinding();
-  for (Timestamp t = 1; t < combined.size(); ++t) {
+  PreparedQuery pq =
+      MustPrepare(&db, "At(x, l1 : l1 = 'a'); At(x, l2 : l2 = 'b')");
+  auto engine = ExtendedRegularEngine::Create(pq, db);
+  ASSERT_OK(engine.status());
+  for (Timestamp t = 1; t <= db.horizon(); ++t) {
+    auto combined = engine->Advance();
+    ASSERT_OK(combined.status());
     double none = 1.0;
-    for (const auto& s : series) none *= 1.0 - s.probs[t];
-    EXPECT_NEAR(combined[t], 1.0 - none, 1e-12) << t;
+    for (double p : engine->chain_probs()) none *= 1.0 - p;
+    EXPECT_NEAR(*combined, 1.0 - none, 1e-12) << t;
   }
 }
 

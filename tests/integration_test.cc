@@ -56,7 +56,7 @@ TEST(IntegrationTest, ArchivedLaharBeatsViterbiOnRecall) {
     auto viterbi = SamplingEngine::Determinized(*prepared, **markov_db,
                                                 Determinization::kViterbi);
     ASSERT_OK(viterbi.status());
-    auto sat = viterbi->Run();
+    auto sat = viterbi->RunToHorizon((*markov_db)->horizon());
     ASSERT_OK(sat.status());
     QualityScore v = Score(*sat, 0.5, truth, 8);
     viterbi_tp += v.true_positives;

@@ -22,7 +22,9 @@ using ::lahar::testing::AddIndependentStream;
 using ::lahar::testing::AddMarkovStream;
 using ::lahar::testing::AddRelation;
 using ::lahar::testing::DeclareUnarySchema;
+using ::lahar::testing::MustAdvance;
 using ::lahar::testing::MustParse;
+using ::lahar::testing::MustPrepare;
 using ::lahar::testing::StepDist;
 
 ChainOptions MapOnly() {
@@ -170,21 +172,19 @@ TEST(KernelEquivalenceTest, ExtendedEngineBatchedVsMap) {
   for (const char* who : {"A", "B", "C", "D"}) {
     AddMarkovStream(&db, "At", who, {"room", "hall"}, 6, 0.75);
   }
-  QueryPtr q = MustParse(
-      &db, "At(x, l1 : l1 = 'room'); At(x, l2 : l2 = 'hall')");
-  auto nq = Normalize(*q);
-  ASSERT_OK(nq.status());
-  auto batched = ExtendedRegularEngine::Create(*nq, db);
-  auto mapped = ExtendedRegularEngine::Create(*nq, db, MapOnly());
+  PreparedQuery pq =
+      MustPrepare(&db, "At(x, l1 : l1 = 'room'); At(x, l2 : l2 = 'hall')");
+  auto batched = ExtendedRegularEngine::Create(pq, db);
+  auto mapped = ExtendedRegularEngine::Create(pq, db, MapOnly());
   ASSERT_OK(batched.status());
   ASSERT_OK(mapped.status());
-  ASSERT_EQ(batched->num_chains(), 4u);
+  ASSERT_EQ(batched->num_units(), 4u);
   EXPECT_EQ(batched->num_compiled(), 4u);
   EXPECT_EQ(mapped->num_compiled(), 0u);
   EXPECT_GT(batched->arena_size(), 0u);
   for (Timestamp t = 1; t <= db.horizon(); ++t) {
-    EXPECT_EQ(batched->Step(), mapped->Step()) << "t=" << t;
-    for (size_t i = 0; i < batched->num_chains(); ++i) {
+    EXPECT_EQ(MustAdvance(*batched), MustAdvance(*mapped)) << "t=" << t;
+    for (size_t i = 0; i < batched->num_units(); ++i) {
       EXPECT_EQ(batched->chain_probs()[i], mapped->chain_probs()[i]);
     }
   }
@@ -197,15 +197,13 @@ TEST(KernelEquivalenceTest, ExtendedEngineWithoutArenaStillIdentical) {
   EventDatabase db;
   AddMarkovStream(&db, "At", "A", {"room", "hall"}, 4, 0.6);
   AddMarkovStream(&db, "At", "B", {"room", "hall"}, 4, 0.8);
-  QueryPtr q = MustParse(
-      &db, "At(x, l1 : l1 = 'room'); At(x, l2 : l2 = 'hall')");
-  auto nq = Normalize(*q);
-  ASSERT_OK(nq.status());
-  auto batched = ExtendedRegularEngine::Create(*nq, db);
+  PreparedQuery pq =
+      MustPrepare(&db, "At(x, l1 : l1 = 'room'); At(x, l2 : l2 = 'hall')");
+  auto batched = ExtendedRegularEngine::Create(pq, db);
   ASSERT_OK(batched.status());
   EXPECT_GT(batched->arena_size(), 0u);
   std::vector<RegularChain> standalone;
-  for (size_t i = 0; i < batched->num_chains(); ++i) {
+  for (size_t i = 0; i < batched->num_units(); ++i) {
     ASSERT_EQ(batched->binding(i).size(), 1u);
     const std::string who =
         batched->binding(i).begin()->second.ToString(db.interner());
@@ -219,7 +217,7 @@ TEST(KernelEquivalenceTest, ExtendedEngineWithoutArenaStillIdentical) {
   }
   ASSERT_EQ(standalone.size(), 2u);
   for (Timestamp t = 1; t <= db.horizon(); ++t) {
-    batched->Step();
+    MustAdvance(*batched);
     for (size_t i = 0; i < standalone.size(); ++i) {
       EXPECT_EQ(batched->chain_probs()[i], standalone[i].Step())
           << "binding " << i << " t=" << t;
@@ -301,32 +299,25 @@ TEST(KernelEquivalenceTest, RandomizedSimdSweepBitIdentical) {
       AddRandomMarkovStream(&db, "tag" + std::to_string(i), domain, cpt,
                             horizon, &rng);
     }
-    QueryPtr q =
-        MustParse(&db, "At(x, l1 : l1 = 'd1'); At(x, l2 : l2 = 'd2')");
-    ASSERT_NE(q, nullptr);
-    auto nq = Normalize(*q);
-    ASSERT_OK(nq.status());
-    // The pool outlives the engines (chains hold shared_ptr row classes,
-    // but the pool itself is borrowed).
-    TransitionRowPool pool;
+    PreparedQuery pq =
+        MustPrepare(&db, "At(x, l1 : l1 = 'd1'); At(x, l2 : l2 = 'd2')");
     ChainOptions scalar_opts;
     scalar_opts.step_mode = KernelStepMode::kScalar;
     ChainOptions simd_opts;
     simd_opts.step_mode = KernelStepMode::kSimd;
-    simd_opts.row_pool = &pool;
-    auto scalar = ExtendedRegularEngine::Create(*nq, db, scalar_opts);
-    auto simd = ExtendedRegularEngine::Create(*nq, db, simd_opts);
-    auto mapped = ExtendedRegularEngine::Create(*nq, db, MapOnly());
+    auto scalar = ExtendedRegularEngine::Create(pq, db, scalar_opts);
+    auto simd = ExtendedRegularEngine::Create(pq, db, simd_opts);
+    auto mapped = ExtendedRegularEngine::Create(pq, db, MapOnly());
     ASSERT_OK(scalar.status());
     ASSERT_OK(simd.status());
     ASSERT_OK(mapped.status());
-    ASSERT_EQ(simd->num_chains(), m);
+    ASSERT_EQ(simd->num_units(), m);
     EXPECT_EQ(simd->num_simd(), m) << "m=" << m;
     EXPECT_EQ(scalar->num_simd(), 0u);
     for (Timestamp t = 1; t <= horizon + 2; ++t) {
-      double pv = simd->Step();
-      double ps = scalar->Step();
-      double pm = mapped->Step();
+      double pv = MustAdvance(*simd);
+      double ps = MustAdvance(*scalar);
+      double pm = MustAdvance(*mapped);
       EXPECT_EQ(pv, ps) << "m=" << m << " t=" << t;
       EXPECT_EQ(ps, pm) << "m=" << m << " t=" << t;
       for (size_t i = 0; i < m; ++i) {
@@ -341,8 +332,8 @@ TEST(KernelEquivalenceTest, RandomizedSimdSweepBitIdentical) {
     }
     // Checkpoint bytes are part of the bit-identity contract.
     serial::Writer wv, ws;
-    simd->SaveState(&wv);
-    scalar->SaveState(&ws);
+    ASSERT_OK(simd->SaveState(&wv));
+    ASSERT_OK(scalar->SaveState(&ws));
     EXPECT_EQ(wv.str(), ws.str()) << "m=" << m;
   }
 }

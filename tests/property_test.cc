@@ -21,7 +21,7 @@ namespace {
 
 using ::lahar::testing::AddRelation;
 using ::lahar::testing::MustParse;
-using ::lahar::testing::RunSafePlan;
+using ::lahar::testing::MustPrepare;
 
 // Builds a random single-value-attribute stream over `domain` names.
 void AddRandomStream(EventDatabase* db, const std::string& type,
@@ -96,21 +96,17 @@ TEST_P(RegularPropertyTest, MatchesBruteForce) {
   AddRandomStream(&db, "At", "Joe", {"a", "b", "c"}, T, markovian, &rng);
   AddRandomStream(&db, "At", "Sue", {"a", "b", "c"}, T, markovian, &rng);
 
-  QueryPtr q = MustParse(&db, kQueries[query_index]);
-  ASSERT_NE(q, nullptr);
-  ASSERT_OK(ValidateQuery(*q, db));
-  auto nq = Normalize(*q);
-  ASSERT_OK(nq.status());
-  Classification cls = Classify(*nq, db);
-  ASSERT_NE(cls.query_class, QueryClass::kUnsafe);
+  PreparedQuery pq = MustPrepare(&db, kQueries[query_index]);
+  ASSERT_NE(pq.classification.query_class, QueryClass::kUnsafe);
 
-  auto engine = ExtendedRegularEngine::Create(*nq, db);
+  auto engine = ExtendedRegularEngine::Create(pq, db);
   ASSERT_OK(engine.status());
-  std::vector<double> got = engine->Run();
-  auto want = BruteForceProbabilities(*q, db);
+  auto got = engine->RunToHorizon(db.horizon());
+  ASSERT_OK(got.status());
+  auto want = BruteForceProbabilities(*pq.ast, db);
   ASSERT_OK(want.status());
-  for (Timestamp t = 1; t < got.size(); ++t) {
-    ASSERT_NEAR(got[t], (*want)[t], 1e-9)
+  for (Timestamp t = 1; t < got->size(); ++t) {
+    ASSERT_NEAR((*got)[t], (*want)[t], 1e-9)
         << kQueries[query_index] << " seed=" << seed
         << " markov=" << markovian << " t=" << t;
   }
@@ -143,15 +139,12 @@ TEST_P(SafePropertyTest, MatchesBruteForce) {
   AddRandomStream(&db, "S", "k2", {"p"}, T, false, &rng);
   AddRandomStream(&db, "T", "a", {"w", "v"}, T, false, &rng);
 
-  QueryPtr q = MustParse(&db, kQueries[query_index]);
-  ASSERT_NE(q, nullptr);
-  auto nq = Normalize(*q);
-  ASSERT_OK(nq.status());
-  auto engine = SafePlanEngine::Create(*nq, db);
+  PreparedQuery pq = MustPrepare(&db, kQueries[query_index]);
+  auto engine = SafePlanEngine::Create(pq, db);
   ASSERT_OK(engine.status());
-  auto got = RunSafePlan(&*engine, db.horizon());
+  auto got = engine->RunToHorizon(db.horizon());
   ASSERT_OK(got.status());
-  auto want = BruteForceProbabilities(*q, db);
+  auto want = BruteForceProbabilities(*pq.ast, db);
   ASSERT_OK(want.status());
   for (Timestamp t = 1; t < got->size(); ++t) {
     ASSERT_NEAR((*got)[t], (*want)[t], 1e-9)
@@ -216,18 +209,19 @@ TEST_P(AxiomsPropertyTest, SamplingConvergesToExact) {
   const char* kQuery = "At('Joe', l1 : l1 = 'a'); At('Joe', l2 : l2 = 'b')";
   auto prepared = PrepareQuery(kQuery, &db);
   ASSERT_OK(prepared.status());
-  auto exact_engine = ExtendedRegularEngine::Create(prepared->normalized, db);
+  auto exact_engine = ExtendedRegularEngine::Create(*prepared, db);
   ASSERT_OK(exact_engine.status());
-  std::vector<double> exact = exact_engine->Run();
+  auto exact = exact_engine->RunToHorizon(db.horizon());
+  ASSERT_OK(exact.status());
   SamplingOptions options;
   options.num_samples = 30000;
   options.seed = seed * 31 + 7;
   auto sampler = SamplingEngine::Create(*prepared, db, options);
   ASSERT_OK(sampler.status());
-  auto approx = sampler->Run();
+  auto approx = sampler->RunToHorizon(db.horizon());
   ASSERT_OK(approx.status());
-  for (Timestamp t = 1; t < exact.size(); ++t) {
-    EXPECT_NEAR((*approx)[t], exact[t], 0.02) << "t=" << t;
+  for (Timestamp t = 1; t < exact->size(); ++t) {
+    EXPECT_NEAR((*approx)[t], (*exact)[t], 0.02) << "t=" << t;
   }
 }
 

@@ -4,8 +4,8 @@
 // produced by sim/trace_generator, pushed from a separate producer thread
 // through a deliberately tiny ingest queue so backpressure engages, stepped
 // by a 4-thread shard pool — and every published probability asserted
-// bit-identical (EXPECT_EQ on doubles) to a sequential StreamingSession
-// replay of the same data.
+// bit-identical (EXPECT_EQ on doubles) to a sequential chain-engine replay
+// of the same data.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,7 +14,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "engine/streaming.h"
+#include "engine/extended_engine.h"
 #include "runtime/executor.h"
 #include "runtime/replay.h"
 #include "sim/scenarios.h"
@@ -23,6 +23,7 @@
 namespace lahar {
 namespace {
 
+using ::lahar::testing::ChainSession;
 using namespace std::chrono_literals;
 
 constexpr size_t kTags = 4;
@@ -65,15 +66,15 @@ TEST(RuntimeStressTest, ThousandTicksMatchSequentialReplayBitForBit) {
   const std::vector<std::string> queries = StandingQueries();
   ASSERT_EQ(queries.size(), 32u);
 
-  // Sequential ground truth: one StreamingSession per query over the
+  // Sequential ground truth: one chain engine per query over the
   // archived data, advanced tick by tick on this thread.
   std::vector<std::vector<double>> expected(queries.size());
   size_t expected_chains = 0;
   for (size_t i = 0; i < queries.size(); ++i) {
-    auto session = StreamingSession::Create(archive->get(), queries[i]);
+    auto session = ChainSession(archive->get(), queries[i]);
     ASSERT_TRUE(session.ok())
         << session.status().ToString() << " for " << queries[i];
-    expected_chains += session->num_chains();
+    expected_chains += session->num_units();
     expected[i].reserve(kHorizon);
     for (Timestamp t = 1; t <= kHorizon; ++t) {
       auto p = session->Advance();
@@ -334,7 +335,7 @@ TEST(RuntimeStressTest, SharingGroupChurnStaysBitIdentical) {
   };
   std::vector<std::vector<double>> expected(stable.size());
   for (size_t i = 0; i < stable.size(); ++i) {
-    auto session = StreamingSession::Create(archive->get(), stable[i]);
+    auto session = ChainSession(archive->get(), stable[i]);
     ASSERT_OK(session.status());
     for (Timestamp t = 1; t <= kShareHorizon; ++t) {
       auto p = session->Advance();

@@ -1,7 +1,7 @@
 // Unit tests for the concurrent streaming runtime: ingestion queue and
 // backpressure, watermark gating, declaration cloning / batch replay, the
 // standing-query registry, and StreamRuntime end-to-end equivalence with
-// sequential StreamingSession evaluation. The heavier many-query /
+// sequential chain-engine evaluation. The heavier many-query /
 // many-tick equivalence run lives in runtime_stress_test.cc.
 #include <gtest/gtest.h>
 
@@ -9,7 +9,7 @@
 #include <chrono>
 #include <thread>
 
-#include "engine/streaming.h"
+#include "engine/extended_engine.h"
 #include "runtime/executor.h"
 #include "runtime/ingest.h"
 #include "runtime/registry.h"
@@ -22,6 +22,7 @@ namespace {
 
 using ::lahar::testing::AddIndependentStream;
 using ::lahar::testing::AddMarkovStream;
+using ::lahar::testing::ChainSession;
 using ::lahar::testing::StepDist;
 using namespace std::chrono_literals;
 
@@ -456,7 +457,7 @@ TEST(RegistryTest, LateRegistrationCatchesUpToTheTick) {
                        {{{"a", 0.7}, {"b", 0.2}},
                         {{"b", 0.6}, {"a", 0.3}},
                         {{"a", 0.9}, {"b", 0.1}}});
-  auto baseline = StreamingSession::Create(&db, "At('Joe', l : l = 'a')");
+  auto baseline = ChainSession(&db, "At('Joe', l : l = 'a')");
   ASSERT_OK(baseline.status());
   for (int t = 0; t < 3; ++t) {
     ASSERT_OK(baseline->Advance().status());
@@ -469,10 +470,9 @@ TEST(RegistryTest, LateRegistrationCatchesUpToTheTick) {
   EXPECT_EQ(q->session->time(), 3u);
   // Bit-identical: the catch-up replays the same Advance() sequence, so the
   // per-chain state matches a from-the-start session exactly.
-  auto* streaming = dynamic_cast<StreamingSession*>(q->session.get());
-  ASSERT_NE(streaming, nullptr);
-  EXPECT_EQ(streaming->engine().chain_probs(),
-            baseline->engine().chain_probs());
+  auto* engine = dynamic_cast<ExtendedRegularEngine*>(q->session.get());
+  ASSERT_NE(engine, nullptr);
+  EXPECT_EQ(engine->chain_probs(), baseline->chain_probs());
 }
 
 // Feeds `batches` into `runtime` and collects every published TickResult.
@@ -494,7 +494,7 @@ std::vector<TickResult> RunToCompletion(StreamRuntime* runtime,
 
 TEST(StreamRuntimeTest, MatchesSequentialSessionsBitForBit) {
   // Archive a small mixed database, replay it through the runtime, and
-  // compare every tick against sequential StreamingSession evaluation on
+  // compare every tick against sequential chain-engine evaluation on
   // the archive itself.
   EventDatabase archive;
   AddIndependentStream(&archive, "At", "Joe",
@@ -511,7 +511,7 @@ TEST(StreamRuntimeTest, MatchesSequentialSessionsBitForBit) {
 
   std::vector<std::vector<double>> expected(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    auto session = StreamingSession::Create(&archive, queries[i]);
+    auto session = ChainSession(&archive, queries[i]);
     ASSERT_OK(session.status());
     for (Timestamp t = 1; t <= archive.horizon(); ++t) {
       auto p = session->Advance();
@@ -563,7 +563,7 @@ TEST(StreamRuntimeTest, HotRegisterJoinsInLockstep) {
                         {{"b", 0.5}, {"a", 0.1}},
                         {{"a", 0.9}}});
   const std::string query = "At('Joe', l : l = 'a')";
-  auto baseline = StreamingSession::Create(&archive, query);
+  auto baseline = ChainSession(&archive, query);
   ASSERT_OK(baseline.status());
   std::vector<double> expected;
   for (Timestamp t = 1; t <= archive.horizon(); ++t) {
@@ -771,7 +771,7 @@ TEST(StreamRuntimeTest, OutOfOrderIngestIsBufferedAndApplied) {
                         {{"a", 0.9}}});
   AddMarkovStream(&archive, "At", "Sue", {"a", "b"}, 3, 0.85);
   const std::string query = "At('Joe', l : l = 'a')";
-  auto baseline = StreamingSession::Create(&archive, query);
+  auto baseline = ChainSession(&archive, query);
   ASSERT_OK(baseline.status());
   std::vector<double> expected;
   for (Timestamp t = 1; t <= archive.horizon(); ++t) {

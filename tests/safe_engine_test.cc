@@ -14,20 +14,16 @@ using ::lahar::testing::AddIndependentStream;
 using ::lahar::testing::AddMarkovStream;
 using ::lahar::testing::AddRelation;
 using ::lahar::testing::MustParse;
-using ::lahar::testing::RunSafePlan;
+using ::lahar::testing::MustPrepare;
 
 void ExpectMatchesBruteForce(EventDatabase* db, const std::string& text,
                              double tol = 1e-9) {
-  QueryPtr q = MustParse(db, text);
-  ASSERT_NE(q, nullptr);
-  ASSERT_OK(ValidateQuery(*q, *db));
-  auto nq = Normalize(*q);
-  ASSERT_OK(nq.status());
-  auto engine = SafePlanEngine::Create(*nq, *db);
+  PreparedQuery pq = MustPrepare(db, text);
+  auto engine = SafePlanEngine::Create(pq, *db);
   ASSERT_OK(engine.status());
-  auto got = RunSafePlan(&*engine, db->horizon());
+  auto got = engine->RunToHorizon(db->horizon());
   ASSERT_OK(got.status());
-  auto want = BruteForceProbabilities(*q, *db);
+  auto want = BruteForceProbabilities(*pq.ast, *db);
   ASSERT_OK(want.status());
   for (size_t t = 1; t < got->size(); ++t) {
     EXPECT_NEAR((*got)[t], (*want)[t], tol) << text << " at t=" << t;
@@ -162,12 +158,10 @@ TEST(SafeEngineTest, PrecursorConsumesTheMatch) {
   AddIndependentStream(&db, "S", "k1", {{}, {{"v", 1.0}}, {}, {}});
   // T fires at t=3 with prob 0.5 (precursor for t=4) and t=4 surely.
   AddIndependentStream(&db, "T", "a", {{}, {}, {{"w", 0.5}}, {{"w", 1.0}}});
-  QueryPtr q = MustParse(&db, "R(x, u1); S(x, u2); T('a', y)");
-  auto nq = Normalize(*q);
-  ASSERT_OK(nq.status());
-  auto engine = SafePlanEngine::Create(*nq, db);
+  PreparedQuery pq = MustPrepare(&db, "R(x, u1); S(x, u2); T('a', y)");
+  auto engine = SafePlanEngine::Create(pq, db);
   ASSERT_OK(engine.status());
-  auto probs = RunSafePlan(&*engine, db.horizon());
+  auto probs = engine->RunToHorizon(db.horizon());
   ASSERT_OK(probs.status());
   // Prefix completes at t=2. q@3 iff T@3 (0.5); q@4 iff no T@3 (0.5).
   EXPECT_NEAR((*probs)[3], 0.5, 1e-12);
@@ -190,10 +184,8 @@ TEST(SafeEngineTest, IntervalProbIsMonotone) {
   EventDatabase db;
   AddIndependentStream(&db, "R", "k1", {{{"u", 0.5}}, {{"u", 0.5}}, {}});
   AddIndependentStream(&db, "S", "k1", {{}, {{"v", 0.5}}, {{"v", 0.5}}});
-  QueryPtr q = MustParse(&db, "R(x, u1); S(x, u2)");
-  auto nq = Normalize(*q);
-  ASSERT_OK(nq.status());
-  auto engine = SafePlanEngine::Create(*nq, db);
+  PreparedQuery pq = MustPrepare(&db, "R(x, u1); S(x, u2)");
+  auto engine = SafePlanEngine::Create(pq, db);
   ASSERT_OK(engine.status());
   double prev = 0;
   for (Timestamp tf = 1; tf <= 3; ++tf) {
@@ -209,10 +201,8 @@ TEST(SafeEngineTest, MarkovianWitnessStreamRejected) {
   AddIndependentStream(&db, "R", "k1", {{{"u", 0.5}}, {}, {}});
   AddIndependentStream(&db, "S", "k1", {{}, {{"v", 0.5}}, {}});
   AddMarkovStream(&db, "T", "a", {"w"}, 3, 0.9);
-  QueryPtr q = MustParse(&db, "R(x, u1); S(x, u2); T('a', y)");
-  auto nq = Normalize(*q);
-  ASSERT_OK(nq.status());
-  auto engine = SafePlanEngine::Create(*nq, db);
+  PreparedQuery pq = MustPrepare(&db, "R(x, u1); S(x, u2); T('a', y)");
+  auto engine = SafePlanEngine::Create(pq, db);
   EXPECT_FALSE(engine.ok());
 }
 
@@ -224,10 +214,9 @@ TEST(SafeEngineTest, BlockingTrailingSelectionRejected) {
   AddIndependentStream(&db, "R", "k1", {{{"u", 0.5}}, {}});
   AddIndependentStream(&db, "S", "k1", {{}, {{"v", 0.5}}});
   AddIndependentStream(&db, "T", "a", {{}, {{"w", 0.4}, {"x", 0.3}}});
-  QueryPtr q = MustParse(&db, "(R(p, u1); S(p, u2); T(z, y)) WHERE y = 'w'");
-  auto nq = Normalize(*q);
-  ASSERT_OK(nq.status());
-  auto engine = SafePlanEngine::Create(*nq, db);
+  PreparedQuery pq =
+      MustPrepare(&db, "(R(p, u1); S(p, u2); T(z, y)) WHERE y = 'w'");
+  auto engine = SafePlanEngine::Create(pq, db);
   EXPECT_FALSE(engine.ok());
   EXPECT_EQ(engine.status().code(), StatusCode::kUnimplemented);
 }
@@ -246,10 +235,8 @@ TEST(SafeEngineTest, IntervalProbRejectsMalformedIntervals) {
   EventDatabase db;
   AddIndependentStream(&db, "R", "k1", {{{"u", 0.5}}, {}});
   AddIndependentStream(&db, "S", "k1", {{}, {{"v", 0.5}}});
-  QueryPtr q = MustParse(&db, "R(x, u1); S(x, u2)");
-  auto nq = Normalize(*q);
-  ASSERT_OK(nq.status());
-  auto engine = SafePlanEngine::Create(*nq, db);
+  PreparedQuery pq = MustPrepare(&db, "R(x, u1); S(x, u2)");
+  auto engine = SafePlanEngine::Create(pq, db);
   ASSERT_OK(engine.status());
   // Timesteps are 1-based: ts = 0 is out of the model, not "from the start".
   auto zero = engine->IntervalProb(0, 2);
@@ -274,17 +261,15 @@ TEST(SafeEngineTest, CertainWitnessShortCircuitsExactly) {
   AddIndependentStream(&db, "T", "a", {{}, {}, {{"w", 1.0}}, {{"w", 0.5}}});
   ExpectMatchesBruteForce(&db, "R(x, u1); S(x, u2); T('a', y)");
 
-  QueryPtr q = MustParse(&db, "R(x, u1); S(x, u2); T('a', y)");
-  auto nq = Normalize(*q);
-  ASSERT_OK(nq.status());
+  PreparedQuery pq = MustPrepare(&db, "R(x, u1); S(x, u2); T('a', y)");
   PlanOptions reference;
   reference.safe.incremental = false;
-  auto sparse = SafePlanEngine::Create(*nq, db);
-  auto dense = SafePlanEngine::Create(*nq, db, reference);
+  auto sparse = SafePlanEngine::Create(pq, db);
+  auto dense = SafePlanEngine::Create(pq, db, reference);
   ASSERT_OK(sparse.status());
   ASSERT_OK(dense.status());
-  auto got = RunSafePlan(&*sparse, db.horizon());
-  auto want = RunSafePlan(&*dense, db.horizon());
+  auto got = sparse->RunToHorizon(db.horizon());
+  auto want = dense->RunToHorizon(db.horizon());
   ASSERT_OK(got.status());
   ASSERT_OK(want.status());
   ASSERT_EQ(got->size(), want->size());
@@ -305,12 +290,10 @@ TEST(SafeEngineTest, AllBottomPrefixAtPrecursorBoundary) {
   AddIndependentStream(&db, "R", "k1", {{}, {}, {}, {{"u", 0.9}}});
   AddIndependentStream(&db, "S", "k1", {{}, {}, {}, {}});
   AddIndependentStream(&db, "T", "a", {{}, {{"w", 0.7}}, {{"w", 0.4}}, {}});
-  QueryPtr q = MustParse(&db, "R(x, u1); S(x, u2); T('a', y)");
-  auto nq = Normalize(*q);
-  ASSERT_OK(nq.status());
-  auto engine = SafePlanEngine::Create(*nq, db);
+  PreparedQuery pq = MustPrepare(&db, "R(x, u1); S(x, u2); T('a', y)");
+  auto engine = SafePlanEngine::Create(pq, db);
   ASSERT_OK(engine.status());
-  auto probs = RunSafePlan(&*engine, db.horizon());
+  auto probs = engine->RunToHorizon(db.horizon());
   ASSERT_OK(probs.status());
   // The R;S prefix never completes inside the horizon, so every tick is a
   // bitwise zero even while witnesses fire.
@@ -335,17 +318,15 @@ TEST(SafeEngineTest, IncrementalMatchesReferenceOnIntervalGrid) {
   }
   AddIndependentStream(&db, "T", "a",
                        {{}, {{"w", 0.5}}, {}, {{"w", 0.4}}, {{"w", 0.9}}});
-  QueryPtr q = MustParse(&db, "R(x, u1); S(x, u2); T('a', y)");
-  auto nq = Normalize(*q);
-  ASSERT_OK(nq.status());
+  PreparedQuery pq = MustPrepare(&db, "R(x, u1); S(x, u2); T('a', y)");
   PlanOptions reference;
   reference.safe.incremental = false;
-  auto sparse = SafePlanEngine::Create(*nq, db);
-  auto dense = SafePlanEngine::Create(*nq, db, reference);
+  auto sparse = SafePlanEngine::Create(pq, db);
+  auto dense = SafePlanEngine::Create(pq, db, reference);
   ASSERT_OK(sparse.status());
   ASSERT_OK(dense.status());
-  auto got = RunSafePlan(&*sparse, db.horizon());
-  auto want = RunSafePlan(&*dense, db.horizon());
+  auto got = sparse->RunToHorizon(db.horizon());
+  auto want = dense->RunToHorizon(db.horizon());
   ASSERT_OK(got.status());
   ASSERT_OK(want.status());
   for (size_t t = 1; t < got->size(); ++t) {
@@ -381,25 +362,23 @@ TEST(SafeEngineTest, TinyCapacitiesEvictButNeverChangeAnswers) {
   AddIndependentStream(&db, "S", "k1", s1);
   AddIndependentStream(&db, "S", "k2", s2);
   AddIndependentStream(&db, "T", "a", tt);
-  QueryPtr q = MustParse(&db, "R(x, u1); S(x, u2); T('a', y)");
-  auto nq = Normalize(*q);
-  ASSERT_OK(nq.status());
+  PreparedQuery pq = MustPrepare(&db, "R(x, u1); S(x, u2); T('a', y)");
   PlanOptions tiny;
   tiny.safe.seq_memo_capacity = 4;
   tiny.safe.reg_row_capacity = 2;
   tiny.safe.reg_keyframe_interval = 8;
-  auto capped = SafePlanEngine::Create(*nq, db, tiny);
-  auto roomy = SafePlanEngine::Create(*nq, db);
+  auto capped = SafePlanEngine::Create(pq, db, tiny);
+  auto roomy = SafePlanEngine::Create(pq, db);
   ASSERT_OK(capped.status());
   ASSERT_OK(roomy.status());
-  auto got = RunSafePlan(&*capped, db.horizon());
-  auto want = RunSafePlan(&*roomy, db.horizon());
+  auto got = capped->RunToHorizon(db.horizon());
+  auto want = roomy->RunToHorizon(db.horizon());
   ASSERT_OK(got.status());
   ASSERT_OK(want.status());
   for (size_t t = 1; t < got->size(); ++t) {
     EXPECT_EQ((*got)[t], (*want)[t]) << "t=" << t;
   }
-  SessionCounters stats = capped->MemoStats();
+  SessionCounters stats = capped->Counters();
   EXPECT_GT(stats.memo_evictions, 0u);  // 48 diagonal keys through 4 slots
   EXPECT_LE(stats.memo_entries, 4u);
   EXPECT_GT(stats.row_evictions, 0u);
@@ -411,14 +390,12 @@ TEST(SafeEngineTest, DistinctKeysSemanticsExcludesOwnStream) {
   EventDatabase db;
   AddIndependentStream(&db, "At", "Joe", {{{"a", 1.0}}, {{"b", 1.0}}, {}});
   AddIndependentStream(&db, "At", "Sue", {{}, {}, {{"c", 0.5}}});
-  QueryPtr q = MustParse(&db, "At(p, l1); At(p, l2); At(r, l3)");
-  auto nq = Normalize(*q);
-  ASSERT_OK(nq.status());
+  PreparedQuery pq = MustPrepare(&db, "At(p, l1); At(p, l2); At(r, l3)");
   PlanOptions options;
   options.assume_distinct_keys = true;
-  auto engine = SafePlanEngine::Create(*nq, db, options);
+  auto engine = SafePlanEngine::Create(pq, db, options);
   ASSERT_OK(engine.status());
-  auto probs = RunSafePlan(&*engine, db.horizon());
+  auto probs = engine->RunToHorizon(db.horizon());
   ASSERT_OK(probs.status());
   // Joe's prefix completes at t=2; Sue provides the witness at t=3 w.p. 0.5.
   // (Sue's own prefix never completes: her stream has one event only.)

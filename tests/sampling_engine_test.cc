@@ -13,12 +13,7 @@ namespace {
 
 using ::lahar::testing::AddIndependentStream;
 using ::lahar::testing::AddMarkovStream;
-
-PreparedQuery MustPrepare(EventDatabase* db, const std::string& text) {
-  auto prepared = PrepareQuery(text, db);
-  EXPECT_TRUE(prepared.ok()) << prepared.status().ToString();
-  return prepared.ok() ? std::move(*prepared) : PreparedQuery{};
-}
+using ::lahar::testing::MustPrepare;
 
 TEST(SamplingTest, HoeffdingSampleCounts) {
   // n = ln(2/delta) / (2 eps^2): defaults give ~150.
@@ -37,7 +32,7 @@ TEST(SamplingTest, RegularQueryUsesIncrementalPath) {
   auto engine = SamplingEngine::Create(q, db, opt);
   ASSERT_OK(engine.status());
   EXPECT_TRUE(engine->incremental());
-  auto probs = engine->Run();
+  auto probs = engine->RunToHorizon(db.horizon());
   ASSERT_OK(probs.status());
   auto want = BruteForceProbabilities(*q.ast, db);
   ASSERT_OK(want.status());
@@ -54,7 +49,7 @@ TEST(SamplingTest, MarkovianSamplingMatchesExact) {
   auto engine = SamplingEngine::Create(q, db, opt);
   ASSERT_OK(engine.status());
   EXPECT_TRUE(engine->incremental());
-  auto probs = engine->Run();
+  auto probs = engine->RunToHorizon(db.horizon());
   ASSERT_OK(probs.status());
   EXPECT_NEAR((*probs)[2], 0.5 * 0.85, 0.02);
 }
@@ -70,7 +65,7 @@ TEST(SamplingTest, ExtendedQueryAcrossPeople) {
   auto engine = SamplingEngine::Create(q, db, opt);
   ASSERT_OK(engine.status());
   EXPECT_TRUE(engine->incremental());
-  auto probs = engine->Run();
+  auto probs = engine->RunToHorizon(db.horizon());
   ASSERT_OK(probs.status());
   auto want = BruteForceProbabilities(*q.ast, db);
   ASSERT_OK(want.status());
@@ -88,7 +83,7 @@ TEST(SamplingTest, UnsafeQueryFallsBackToGeneralPath) {
   auto engine = SamplingEngine::Create(q, db, opt);
   ASSERT_OK(engine.status());
   EXPECT_FALSE(engine->incremental());
-  auto probs = engine->Run();
+  auto probs = engine->RunToHorizon(db.horizon());
   ASSERT_OK(probs.status());
   auto want = BruteForceProbabilities(*q.ast, db);
   ASSERT_OK(want.status());
@@ -108,8 +103,8 @@ TEST(SamplingTest, DeterministicUnderSeed) {
   auto e2 = SamplingEngine::Create(q, db, opt);
   ASSERT_OK(e1.status());
   ASSERT_OK(e2.status());
-  auto p1 = e1->Run();
-  auto p2 = e2->Run();
+  auto p1 = e1->RunToHorizon(db.horizon());
+  auto p2 = e2->RunToHorizon(db.horizon());
   ASSERT_OK(p1.status());
   ASSERT_OK(p2.status());
   EXPECT_EQ((*p1)[1], (*p2)[1]);
@@ -117,7 +112,7 @@ TEST(SamplingTest, DeterministicUnderSeed) {
 
 TEST(SamplingTest, GeneralPathStepsIncrementally) {
   // Queries outside the NFA fragment used to be batch-only; the session
-  // layer added per-sample world prefixes, so Step() works here too.
+  // layer added per-sample world prefixes, so Advance() works here too.
   EventDatabase db;
   AddIndependentStream(&db, "R", "k1", {{{"a", 0.6}}, {{"a", 0.5}}});
   AddIndependentStream(&db, "S", "k2", {{{"a", 0.7}}, {{"a", 0.5}}});
@@ -130,7 +125,7 @@ TEST(SamplingTest, GeneralPathStepsIncrementally) {
   auto want = BruteForceProbabilities(*q.ast, db);
   ASSERT_OK(want.status());
   for (Timestamp t = 1; t <= 2; ++t) {
-    auto p = engine->Step();
+    auto p = engine->Advance();
     ASSERT_OK(p.status());
     EXPECT_EQ(engine->time(), t);
     EXPECT_NEAR(*p, (*want)[t], 0.02) << t;
@@ -169,6 +164,29 @@ TEST(SamplingTest, RejectsDeltaOutsideTheOpenUnitInterval) {
   auto engine = SamplingEngine::Create(q, db, opt);
   ASSERT_OK(engine.status());
   EXPECT_GT(engine->num_samples(), 0u);
+}
+
+TEST(SamplingTest, RejectsEpsilonWhoseSampleCountOverflows) {
+  // With delta = 0.1, epsilon = 1e-12 asks for ~1.5e24 samples (past
+  // size_t: the cast used to yield 0 samples and 0/0 estimates), epsilon =
+  // 1e-9 for ~1.5e18 and epsilon = 1e-6 for ~1.5e12 (both fit size_t, but
+  // their per-sample state exceeds any memory). An explicit num_samples
+  // gets the same check.
+  EventDatabase db;
+  AddIndependentStream(&db, "R", "k", {{{"a", 0.5}}});
+  PreparedQuery q = MustPrepare(&db, "R('k', x : x = 'a')");
+  EXPECT_EQ(HoeffdingSamples(1e-12, 0.1), 0u);
+  for (double eps : {1e-12, 1e-9, 1e-6}) {
+    SamplingOptions opt;
+    opt.epsilon = eps;
+    opt.delta = 0.1;
+    auto engine = SamplingEngine::Create(q, db, opt);
+    EXPECT_EQ(engine.status().code(), StatusCode::kInvalidArgument) << eps;
+  }
+  SamplingOptions opt;
+  opt.num_samples = std::numeric_limits<size_t>::max();
+  EXPECT_EQ(SamplingEngine::Create(q, db, opt).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 // --- Determinization: the Section 4 baselines as the one-world case -------
@@ -225,7 +243,7 @@ TEST(DeterministicEngineTest, MleDetectsHighConfidenceSequence) {
   ASSERT_OK(engine.status());
   EXPECT_TRUE(engine->incremental());
   EXPECT_EQ(engine->num_samples(), 1u);
-  auto sat = engine->Run();
+  auto sat = engine->RunToHorizon(db.horizon());
   ASSERT_OK(sat.status());
   EXPECT_EQ(*sat, (std::vector<double>{0, 0, 1, 0}));
 }
@@ -239,7 +257,7 @@ TEST(DeterministicEngineTest, MleMissesLowConfidenceEvent) {
       &db, "At('Joe', l1 : l1 = 'a'); At('Joe', l2 : l2 = 'a')");
   auto engine = SamplingEngine::Determinized(q, db, Determinization::kMle);
   ASSERT_OK(engine.status());
-  auto sat = engine->Run();
+  auto sat = engine->RunToHorizon(db.horizon());
   ASSERT_OK(sat.status());
   EXPECT_EQ(*sat, (std::vector<double>{0, 0, 0}));
 }
@@ -252,7 +270,7 @@ TEST(DeterministicEngineTest, ExtendedQueryOverPeople) {
       MustPrepare(&db, "At(x, l1 : l1 = 'a'); At(x, l2 : l2 = 'b')");
   auto engine = SamplingEngine::Determinized(q, db, Determinization::kMle);
   ASSERT_OK(engine.status());
-  auto sat = engine->Run();
+  auto sat = engine->RunToHorizon(db.horizon());
   ASSERT_OK(sat.status());
   EXPECT_EQ(*sat, (std::vector<double>{0, 0, 1}));  // Sue fires
 }
@@ -267,7 +285,7 @@ TEST(DeterministicEngineTest, GeneralPathViaReference) {
   auto engine = SamplingEngine::Determinized(q, db, Determinization::kMle);
   ASSERT_OK(engine.status());
   EXPECT_FALSE(engine->incremental());
-  auto sat = engine->Run();
+  auto sat = engine->RunToHorizon(db.horizon());
   ASSERT_OK(sat.status());
   // MLE world: R=u@1, S=v@2; u != v so the join predicate fails.
   EXPECT_EQ(*sat, (std::vector<double>{0, 0, 0}));

@@ -22,10 +22,11 @@
 #include <string>
 #include <vector>
 
+#include "automaton/simd.h"
+#include "engine/extended_engine.h"
 #include "engine/lahar.h"
 #include "engine/reference.h"
 #include "engine/session.h"
-#include "engine/streaming.h"
 #include "test_util.h"
 
 namespace lahar {
@@ -258,8 +259,8 @@ TEST(SessionEquivalence, SurvivesMidStreamDomainGrowthBitwise) {
   Lahar serving(&live);
   auto session = serving.OpenSession(query);
   ASSERT_OK(session.status());
-  auto* streaming = dynamic_cast<StreamingSession*>(session->get());
-  ASSERT_NE(streaming, nullptr);
+  auto* engine = dynamic_cast<ExtendedRegularEngine*>(session->get());
+  ASSERT_NE(engine, nullptr);
   Timestamp t = 0;
   for (const StepDist& s : head) {
     AppendStep(&live, lid, s);
@@ -268,7 +269,7 @@ TEST(SessionEquivalence, SurvivesMidStreamDomainGrowthBitwise) {
     EXPECT_EQ(*p, answer->probs[++t]) << "t=" << t;
     EXPECT_EQ(*p, oracle[t]) << "t=" << t;
   }
-  EXPECT_EQ(streaming->engine().num_compiled(), 1u);
+  EXPECT_EQ(engine->num_compiled(), 1u);
   grow(&live, lid);  // the alphabet guard trips on the next Advance
   for (const StepDist& s : tail) {
     AppendStep(&live, lid, s);
@@ -278,7 +279,7 @@ TEST(SessionEquivalence, SurvivesMidStreamDomainGrowthBitwise) {
     EXPECT_EQ(*p, oracle[t]) << "t=" << t;
   }
   // The growth really did force the kernel -> map fallback.
-  EXPECT_EQ(streaming->engine().num_compiled(), 0u);
+  EXPECT_EQ(engine->num_compiled(), 0u);
 }
 
 TEST(SessionEquivalence, SafePlanMatchesBatchBitwise) {
@@ -423,7 +424,7 @@ TEST(SessionEquivalence, SafePlanLongHorizonTightCapsMatchesBatchBitwise) {
 
 TEST(SessionEquivalence, SamplingSessionTracksBruteForce) {
   // Unsafe query (non-local WHERE): hosts as an approximate standing query
-  // through a SamplingSession. Compared against exhaustive enumeration
+  // through the SamplingEngine. Compared against exhaustive enumeration
   // within the Hoeffding tolerance for the sample count.
   const std::string query = "(R(x, u1); S(y, u2)) WHERE u1 = u2";
   const std::vector<StepDist> r_steps = {
@@ -530,6 +531,111 @@ TEST(SessionEquivalence, SafeMarkovFallbackOrdersAgreeBitwise) {
   ExpectSampledOrdersAgree(
       &db, "At(p, l1 : l1 = 'a'); At(p, l2 : l2 = 'b'); At(q, l3 : l3 = 'a')",
       options, QueryClass::kSafe);
+}
+
+// Drives the split protocol the sharded executor speaks: per tick, one
+// PrepareAdvance, AdvanceShard over the ranges between consecutive `cuts`
+// (taken in reverse order, as a slow first shard would finish last), then
+// one CommitAdvance. P[q@t] at index t.
+std::vector<double> SplitRun(QuerySession* session, Timestamp horizon,
+                             const std::vector<size_t>& cuts) {
+  std::vector<double> probs(horizon + 1, 0.0);
+  for (Timestamp t = 1; t <= horizon; ++t) {
+    session->PrepareAdvance();
+    for (size_t k = cuts.size() - 1; k > 0; --k) {
+      session->AdvanceShard(cuts[k - 1], cuts[k]);
+    }
+    auto p = session->CommitAdvance();
+    EXPECT_TRUE(p.ok()) << p.status().ToString();
+    probs[t] = p.ok() ? *p : -1.0;
+  }
+  return probs;
+}
+
+TEST(SessionEquivalence, SplitAdvanceMatchesAdvanceForEveryClass) {
+  // One archive serving a query of every class. The Markovian tags share
+  // one CPT, so the forced-SIMD Extended engine packs lane-interleaved
+  // stripes; the Safe plan projects x over two keys; the Unsafe query is
+  // sampled. Every partition of the units — including cuts through a
+  // stripe — must publish exactly the Advance() loop's and batch answers.
+  constexpr Timestamp kT = 10;
+  EventDatabase db;
+  const size_t tags = 2 * simd::kLanes + 1;
+  for (size_t i = 0; i < tags; ++i) {
+    lahar::testing::AddMarkovStream(&db, "At", "tag" + std::to_string(i),
+                                    {"a", "b", "c"}, kT, 0.7);
+  }
+  const std::vector<StreamId> ids = {
+      AddEmptyStream(&db, "R", "k1", {"u"}),
+      AddEmptyStream(&db, "R", "k2", {"u"}),
+      AddEmptyStream(&db, "S", "k1", {"v"}),
+      AddEmptyStream(&db, "S", "k2", {"v"}),
+      AddEmptyStream(&db, "T", "a", {"w"}),
+      AddEmptyStream(&db, "P", "k1", {"m", "n"}),
+      AddEmptyStream(&db, "Q", "k2", {"m", "n"})};
+  for (Timestamp t = 1; t <= kT; ++t) {
+    const double f = 0.1 * static_cast<double>(t % 4);
+    AppendStep(&db, ids[0], {{"u", 0.3 + f}});
+    AppendStep(&db, ids[1], {{"u", 0.6 - f}});
+    AppendStep(&db, ids[2], {{"v", 0.2 + f}});
+    AppendStep(&db, ids[3], {{"v", 0.5}});
+    AppendStep(&db, ids[4],
+               t % 3 == 0 ? StepDist{} : StepDist{{"w", 0.4 + f}});
+    AppendStep(&db, ids[5], {{"m", 0.2 + f}, {"n", 0.3}});
+    AppendStep(&db, ids[6], {{"n", 0.4}, {"m", 0.3 - f / 2}});
+  }
+  LaharOptions options;
+  options.chain.step_mode = KernelStepMode::kSimd;
+  options.sampling.num_samples = 64;
+  options.sampling.seed = 3;
+  const struct {
+    const char* text;
+    EngineKind engine;
+  } cases[] = {
+      {"At('tag0', l : l = 'a')", EngineKind::kRegular},
+      {"At(x, l1 : l1 = 'a'); At(x, l2 : l2 = 'b')",
+       EngineKind::kExtendedRegular},
+      {"R(x, u1); S(x, u2); T('a', y)", EngineKind::kSafePlan},
+      {"(P(x, u1); Q(y, u2)) WHERE u1 = u2", EngineKind::kSampling},
+  };
+  Lahar lahar(&db, options);
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.text);
+    auto batch = lahar.Run(c.text);
+    ASSERT_OK(batch.status());
+    auto reference = lahar.OpenSession(c.text);
+    ASSERT_OK(reference.status());
+    ASSERT_EQ((*reference)->engine_kind(), c.engine);
+    const size_t n = (*reference)->num_units();
+    std::vector<double> stepped(kT + 1, 0.0);
+    for (Timestamp t = 1; t <= kT; ++t) {
+      stepped[t] = testing::MustAdvance(**reference);
+    }
+    if (c.engine == EngineKind::kExtendedRegular) {
+      ASSERT_EQ(n, tags);
+      ASSERT_EQ((*reference)->UnitGroupEnd(1), simd::kLanes);  // a stripe
+    }
+    if (c.engine == EngineKind::kSafePlan) {
+      ASSERT_GE(n, 2u);
+    }
+
+    std::vector<std::vector<size_t>> partitions = {{0, n}, {0, n / 2, n}};
+    std::vector<size_t> singletons;
+    for (size_t i = 0; i <= n; ++i) singletons.push_back(i);
+    partitions.push_back(singletons);
+    if (n > 2) partitions.push_back({0, 1, n - 1, n});
+    for (const std::vector<size_t>& cuts : partitions) {
+      auto session = lahar.OpenSession(c.text);
+      ASSERT_OK(session.status());
+      std::vector<double> split = SplitRun(session->get(), kT, cuts);
+      for (Timestamp t = 1; t <= kT; ++t) {
+        const size_t ranges = cuts.size() - 1;
+        EXPECT_EQ(split[t], stepped[t]) << "ranges=" << ranges << " t=" << t;
+        EXPECT_EQ(split[t], batch->probs[t])
+            << "ranges=" << ranges << " t=" << t;
+      }
+    }
+  }
 }
 
 TEST(SessionEquivalence, StrictModeRejectionNamesTheClass) {

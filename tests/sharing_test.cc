@@ -12,7 +12,7 @@
 
 #include "analysis/plan.h"
 #include "analysis/prepared.h"
-#include "engine/streaming.h"
+#include "engine/extended_engine.h"
 #include "runtime/executor.h"
 #include "runtime/registry.h"
 #include "runtime/replay.h"
@@ -24,6 +24,7 @@ namespace {
 
 using ::lahar::testing::AddIndependentStream;
 using ::lahar::testing::AddRelation;
+using ::lahar::testing::ChainSession;
 using ::lahar::testing::StepDist;
 using namespace std::chrono_literals;
 
@@ -177,7 +178,7 @@ TEST(RegistrySharingTest, ChurnDissolvesAndRematerializesGroups) {
   const std::string q = "At('tag1', l : Room(l))";
 
   // Unshared ground truth.
-  auto reference = StreamingSession::Create(db.get(), q);
+  auto reference = ChainSession(db.get(), q);
   ASSERT_OK(reference.status());
   std::vector<double> expected;
   for (Timestamp t = 1; t <= kHorizon; ++t) {
@@ -273,7 +274,7 @@ TEST(SharingRuntimeTest, SixtyFourAlphaVariantsExecuteSharedChainOnce) {
     queries.push_back("At('tag1', v" + std::to_string(i) + " : Room(v" +
                       std::to_string(i) + "))");
   }
-  auto reference = StreamingSession::Create(archive.get(), queries[0]);
+  auto reference = ChainSession(archive.get(), queries[0]);
   ASSERT_OK(reference.status());
   std::vector<double> expected;
   for (Timestamp t = 1; t <= kHorizon; ++t) {

@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "engine/extended_engine.h"
 #include "engine/lahar.h"
-#include "engine/streaming.h"
 #include "test_util.h"
 
 namespace lahar {
@@ -9,6 +9,7 @@ namespace {
 
 using ::lahar::testing::AddIndependentStream;
 using ::lahar::testing::AddMarkovStream;
+using ::lahar::testing::ChainSession;
 
 TEST(StreamAppendTest, IndependentAppendExtendsHorizon) {
   EventDatabase db;
@@ -73,7 +74,7 @@ TEST(StreamingSessionTest, MatchesBatchEvaluation) {
   DomainIndex b = s.InternTuple({db.Sym("b")});
   auto id = db.AddStream(std::move(s));
   ASSERT_TRUE(id.ok());
-  auto session = StreamingSession::Create(&db, query);
+  auto session = ChainSession(&db, query);
   ASSERT_OK(session.status());
 
   auto dist = [&](double pa, double pb) {
@@ -97,7 +98,7 @@ TEST(StreamingSessionTest, MatchesBatchEvaluation) {
 TEST(StreamingSessionTest, MarkovStreamsAdvanceIncrementally) {
   EventDatabase db;
   StreamId id = AddMarkovStream(&db, "At", "Joe", {"room", "hall"}, 1, 0.9);
-  auto session = StreamingSession::Create(
+  auto session = ChainSession(
       &db, "At('Joe', l1 : l1 = 'room'); At('Joe', l2 : l2 = 'room')");
   ASSERT_OK(session.status());
   auto p1 = session->Advance();
@@ -122,7 +123,7 @@ TEST(StreamingSessionTest, ExtendedQueryTracksMultipleKeys) {
       AddIndependentStream(&db, "At", "Joe", {{{"a", 0.5}, {"b", 0.0}}});
   StreamId sue =
       AddIndependentStream(&db, "At", "Sue", {{{"a", 0.5}, {"b", 0.0}}});
-  auto session = StreamingSession::Create(&db, "At(x, l : l = 'b')");
+  auto session = ChainSession(&db, "At(x, l : l = 'b')");
   ASSERT_OK(session.status());
   EXPECT_OK(session->Advance().status());
   ASSERT_OK(db.AppendMarginal(joe, {0.5, 0.0, 0.5}));
@@ -138,7 +139,7 @@ TEST(StreamingSessionTest, RejectsNonStreamableQueries) {
   AddIndependentStream(&db, "S", "k1", {{{"v", 0.5}}});
   AddIndependentStream(&db, "T", "a", {{{"w", 0.5}}});
   // Safe but non-streamable: needs the archived history.
-  auto safe = StreamingSession::Create(&db, "R(x, u1); S(x, u2); T('a', y)");
+  auto safe = ChainSession(&db, "R(x, u1); S(x, u2); T('a', y)");
   EXPECT_FALSE(safe.ok());
   EXPECT_EQ(safe.status().code(), StatusCode::kUnsafeQuery);
   // The rejection carries the query class so callers can route the query
@@ -150,7 +151,7 @@ TEST(StreamingSessionTest, RejectsNonStreamableQueries) {
   EXPECT_NE(safe.status().ToString().find("query_class=Safe"),
             std::string::npos);
 
-  auto unsafe = StreamingSession::Create(
+  auto unsafe = ChainSession(
       &db, "(R(x, u1); S(y, u2)) WHERE u1 = u2");
   EXPECT_FALSE(unsafe.ok());
   const std::string* ucls = unsafe.status().GetPayload(kQueryClassPayload);

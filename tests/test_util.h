@@ -5,11 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <initializer_list>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "engine/safe_engine.h"
+#include "analysis/prepared.h"
+#include "engine/extended_engine.h"
+#include "engine/session.h"
 #include "model/database.h"
 #include "query/parser.h"
 
@@ -138,17 +141,27 @@ inline QueryPtr MustParse(EventDatabase* db, const std::string& text) {
   return q.ok() ? *q : nullptr;
 }
 
-/// Drives a safe-plan engine tick by tick through its shard protocol (as
-/// SafeQuerySession does) up to `horizon`; P[q@t] at index t.
-inline Result<std::vector<double>> RunSafePlan(SafePlanEngine* engine,
-                                               Timestamp horizon) {
-  std::vector<double> probs(horizon + 1, 0.0);
-  for (Timestamp t = 1; t <= horizon; ++t) {
-    engine->PrepareShard(t);
-    engine->ShardAdvance(0, engine->NumShardUnits(), t);
-    LAHAR_ASSIGN_OR_RETURN(probs[t], engine->FinishAdvance(t));
-  }
-  return probs;
+/// Prepares a query (parse, normalize, classify), expecting success.
+inline PreparedQuery MustPrepare(EventDatabase* db, const std::string& text) {
+  auto prepared = PrepareQuery(text, db);
+  EXPECT_TRUE(prepared.ok()) << prepared.status().ToString()
+                             << " in: " << text;
+  return prepared.ok() ? std::move(*prepared) : PreparedQuery{};
+}
+
+/// Prepares `text` and builds the chain engine CreateQuerySession routes
+/// Regular and Extended Regular queries to.
+inline Result<ExtendedRegularEngine> ChainSession(EventDatabase* db,
+                                                  const std::string& text) {
+  return ExtendedRegularEngine::Create(MustPrepare(db, text), *db);
+}
+
+/// Advances a session one tick, expecting success; P[q@t], or NaN when the
+/// advance failed.
+inline double MustAdvance(QuerySession& session) {
+  Result<double> p = session.Advance();
+  EXPECT_TRUE(p.ok()) << p.status().ToString();
+  return p.ok() ? *p : std::numeric_limits<double>::quiet_NaN();
 }
 
 }  // namespace testing
