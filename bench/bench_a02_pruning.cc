@@ -16,9 +16,9 @@ size_t CptEntries(const EventDatabase& db) {
     const Stream& stream = db.stream(s);
     if (!stream.markovian()) continue;
     for (Timestamp t = 1; t < stream.horizon(); ++t) {
-      const Matrix& cpt = stream.CptAt(t);
+      const CptView cpt = stream.CptAt(t);
       for (size_t r = 0; r < cpt.rows(); ++r) {
-        for (size_t c = 0; c < cpt.cols(); ++c) total += cpt.At(r, c) > 0;
+        for (const CptEntry e : cpt.Row(r)) total += e.p > 0;
       }
     }
   }

@@ -2,7 +2,10 @@
 // people and 52 objects moving through a two-floor instrumented building
 // for ~72 minutes; this bench reports the same inventory for our synthetic
 // deployment plus the sizes of each derived data product (filtered
-// marginals, smoothed marginals, smoothed CPTs, Viterbi paths).
+// marginals, smoothed marginals, smoothed CPTs, Viterbi paths). A closing
+// JSON record gives what the smoothed CPTs cost in memory: the entries the
+// streams store and the bytes their sparse slices hold, beside the bytes a
+// dense D x D table per slice would hold.
 #include "bench_util.h"
 #include "inference/viterbi.h"
 
@@ -17,13 +20,33 @@ size_t CptTuples(const EventDatabase& db) {
     const Stream& stream = db.stream(s);
     if (!stream.markovian()) continue;
     for (Timestamp t = 1; t < stream.horizon(); ++t) {
-      const Matrix& cpt = stream.CptAt(t);
+      const CptView cpt = stream.CptAt(t);
       for (size_t r = 0; r < cpt.rows(); ++r) {
-        for (size_t c = 0; c < cpt.cols(); ++c) total += cpt.At(r, c) > 0;
+        for (const CptEntry e : cpt.Row(r)) total += e.p > 0;
       }
     }
   }
   return total;
+}
+
+// Stored CPT footprint of one database.
+struct CptFootprint {
+  size_t entries = 0;
+  size_t bytes = 0;
+  size_t dense_bytes = 0;
+};
+
+void AddFootprint(const EventDatabase& db, CptFootprint* out) {
+  for (StreamId s = 0; s < db.num_streams(); ++s) {
+    const Stream& stream = db.stream(s);
+    out->entries += stream.cpt_entries();
+    out->bytes += stream.cpt_bytes();
+    if (!stream.markovian()) continue;
+    for (Timestamp t = 1; t < stream.horizon(); ++t) {
+      const CptView cpt = stream.CptAt(t);
+      out->dense_bytes += cpt.rows() * cpt.cols() * sizeof(double);
+    }
+  }
 }
 
 }  // namespace
@@ -50,12 +73,17 @@ int main() {
   std::printf("%-22s %8u  (~4300 s)\n", "Duration (steps)", kHorizon);
 
   // Merge both scenarios' tags into one database per representation.
+  CptFootprint footprint;
   auto count = [&](StreamKind kind) -> std::pair<size_t, size_t> {
     auto pdb = people->BuildDatabase(kind);
     auto odb = objects->BuildDatabase(kind);
     if (!pdb.ok() || !odb.ok()) return {0, 0};
     size_t tuples = (*pdb)->TotalTuples() + (*odb)->TotalTuples();
     size_t cpts = CptTuples(**pdb) + CptTuples(**odb);
+    if (kind == StreamKind::kSmoothed) {
+      AddFootprint(**pdb, &footprint);
+      AddFootprint(**odb, &footprint);
+    }
     return {tuples, cpts};
   };
 
@@ -73,5 +101,12 @@ int main() {
               "Viterbi paths are the smallest product)\n");
   (void)fc;
   (void)smoothed;
+  JsonLine()
+      .Add("bench", std::string("fig08_datastats"))
+      .Add("data", std::string("smoothed_cpts"))
+      .Add("cpt_entries", footprint.entries)
+      .Add("cpt_bytes", footprint.bytes)
+      .Add("dense_cpt_bytes", footprint.dense_bytes)
+      .Print();
   return 0;
 }

@@ -39,18 +39,18 @@ Row RunOne(const char* query, size_t tags) {
 
   Row row;
   row.tags = tags;
-  row.mle = Throughput(tuples, TimeMs([&] {
+  row.mle = Throughput(tuples, MeanMs([&] {
     auto engine =
         SamplingEngine::Determinized(*prepared, **db, Determinization::kMle);
     auto sat = engine->RunToHorizon(kHorizon);
     (void)sat;
   }));
-  row.lahar = Throughput(tuples, TimeMs([&] {
+  row.lahar = Throughput(tuples, MeanMs([&] {
     auto engine = ExtendedRegularEngine::Create(*prepared, **db);
     auto probs = engine->RunToHorizon(kHorizon);
     (void)probs;
   }));
-  row.sampling = Throughput(tuples, TimeMs([&] {
+  row.sampling = Throughput(tuples, MeanMs([&] {
     SamplingOptions options;  // epsilon = delta = 0.1 -> 150 samples
     auto engine = SamplingEngine::Create(*prepared, **db, options);
     auto probs = engine->RunToHorizon(kHorizon);

@@ -28,9 +28,9 @@ size_t MarkovTuples(const EventDatabase& db) {
     const Stream& stream = db.stream(s);
     if (!stream.markovian()) continue;
     for (Timestamp t = 1; t < stream.horizon(); ++t) {
-      const Matrix& cpt = stream.CptAt(t);
+      const CptView cpt = stream.CptAt(t);
       for (size_t r = 0; r < cpt.rows(); ++r) {
-        for (size_t c = 0; c < cpt.cols(); ++c) total += cpt.At(r, c) > 0;
+        for (const CptEntry e : cpt.Row(r)) total += e.p > 0;
       }
     }
   }
@@ -81,7 +81,7 @@ void RunQuery(const char* label, const char* query_label,
       }
       prepared.push_back(std::move(*p));
     }
-    double viterbi_ms = TimeMs([&] {
+    double viterbi_ms = MeanMs([&] {
       for (const PreparedQuery& p : prepared) {
         auto engine =
             SamplingEngine::Determinized(p, **db, Determinization::kViterbi);
@@ -89,14 +89,14 @@ void RunQuery(const char* label, const char* query_label,
         (void)sat;
       }
     });
-    double lahar_ms = TimeMs([&] {
+    double lahar_ms = MeanMs([&] {
       for (const PreparedQuery& p : prepared) {
         auto engine = ExtendedRegularEngine::Create(p, **db);
         auto probs = engine->RunToHorizon(kHorizon);
         (void)probs;
       }
     });
-    double sampling_ms = TimeMs([&] {
+    double sampling_ms = MeanMs([&] {
       for (const PreparedQuery& p : prepared) {
         auto engine = SamplingEngine::Create(p, **db, {});
         auto probs = engine->RunToHorizon(kHorizon);

@@ -17,7 +17,7 @@ using namespace lahar::bench;
 namespace {
 
 double SafeMs(const PreparedQuery& prepared, EventDatabase* db) {
-  return TimeMs([&] {
+  return MeanMs([&] {
     LaharOptions options;
     options.plan.assume_distinct_keys = true;
     options.allow_sampling_fallback = false;
@@ -61,7 +61,7 @@ int main() {
       return 1;
     }
     double safe_ms = SafeMs(*prepared, db->get());
-    double sampling_ms = TimeMs([&] {
+    double sampling_ms = MeanMs([&] {
       auto engine = SamplingEngine::Create(*prepared, **db, {});
       auto probs = engine->RunToHorizon((*db)->horizon());
       (void)probs;

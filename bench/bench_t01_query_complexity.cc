@@ -65,7 +65,7 @@ void Run(const char* label, const char* streams, StreamKind kind,
       if (!p.ok()) return;
       prepared.push_back(std::move(*p));
     }
-    double ms = TimeMs([&] {
+    double ms = MeanMs([&] {
       for (const PreparedQuery& p : prepared) {
         auto engine = ExtendedRegularEngine::Create(p, **db);
         if (engine.ok()) {

@@ -184,6 +184,23 @@ inline double TimeMs(const std::function<void()>& fn) {
   return std::chrono::duration<double, std::milli>(end - start).count();
 }
 
+/// Minimum timed run per paper-figure cell: one pass of a cell takes
+/// 0.3-40 ms, too short to time once on a shared host.
+inline constexpr double kMinCellMs = 200;
+
+/// Mean milliseconds per run of `fn`, repeated until at least `min_ms`
+/// have run (once at minimum) — t05's minimum-time loop.
+inline double MeanMs(const std::function<void()>& fn,
+                     double min_ms = kMinCellMs) {
+  double total_ms = 0;
+  size_t reps = 0;
+  while (total_ms < min_ms || reps == 0) {
+    total_ms += TimeMs(fn);
+    ++reps;
+  }
+  return total_ms / static_cast<double>(reps);
+}
+
 /// tuples-per-second given a tuple count and elapsed milliseconds.
 inline double Throughput(size_t tuples, double ms) {
   return ms > 0 ? 1000.0 * static_cast<double>(tuples) / ms : 0.0;

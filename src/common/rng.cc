@@ -60,6 +60,20 @@ size_t Rng::Categorical(const double* weights, size_t n) {
   return n - 1;  // Floating-point slack lands on the last index.
 }
 
+size_t Rng::Categorical(const uint32_t* cols, const double* weights,
+                         size_t count, size_t n) {
+  double total = 0;
+  for (size_t k = 0; k < count; ++k) total += weights[k];
+  if (total <= 0) return n;
+  double u = Uniform() * total;
+  double acc = 0;
+  for (size_t k = 0; k < count; ++k) {
+    acc += weights[k];
+    if (u < acc) return cols[k];
+  }
+  return n - 1;  // The same slack as the dense draw: the last index.
+}
+
 size_t Rng::SparseCategorical(const uint32_t* cols, const double* sums,
                               size_t count, size_t n) {
   const double total = count == 0 ? 0.0 : sums[count - 1];

@@ -37,6 +37,17 @@ class Rng {
   }
 
   /// Categorical over a dense vector of `n` weights given only its nonzero
+  /// entries: `weights[k]` sits at index `cols[k]` (increasing), e.g. one
+  /// row of a sparse CPT (model/cpt.h). Returns exactly what Categorical
+  /// returns on the dense vector and consumes the same draw: the zeros
+  /// only add +0.0 to the total and the running sum, so the first index
+  /// whose sum exceeds the uniform is a stored one, and the floating-point
+  /// slack still lands on the dense last index n - 1. Returns n if the
+  /// weights sum to zero or less.
+  size_t Categorical(const uint32_t* cols, const double* weights,
+                     size_t count, size_t n);
+
+  /// Categorical over a dense vector of `n` weights given only its nonzero
   /// entries: `cols[k]` is the k-th nonzero index (increasing) and `sums[k]`
   /// the running sum of the weights through it, added in index order.
   /// Returns exactly what Categorical returns on the dense vector and

@@ -113,14 +113,11 @@ Result<RegularChain> RegularChain::Create(const NormalizedQuery& q,
           for (const Participant& p : chain.markov_participants_) {
             const Stream& s = db.stream(p.id);
             if (s.horizon() < 2) continue;
-            const Matrix& cpt = s.CptAt(1);
-            size_t nz = 0, total = 0;
+            const CptView cpt = s.CptAt(1);
+            const size_t total = cpt.rows() * cpt.cols();
+            size_t nz = 0;
             for (size_t r = 0; r < cpt.rows(); ++r) {
-              const double* row = cpt.Row(r);
-              for (size_t c = 0; c < cpt.cols(); ++c) {
-                ++total;
-                if (row[c] > 0) ++nz;
-              }
+              for (const CptEntry e : cpt.Row(r)) nz += e.p > 0;
             }
             if (total > 0) density *= static_cast<double>(nz) / total;
           }
@@ -338,13 +335,11 @@ void RegularChain::EnumerateSuccessors(const Key& key, double p,
       // Stream over: certain bottom, contributes nothing to the input.
       for (const Frame& f : frontier) scratch.push_back(f);
     } else if (next > 1) {
-      const Matrix& cpt = s.CptAt(next - 1);
       const DomainIndex d = static_cast<DomainIndex>(
           (key.hidden / part.radix) % s.domain_size());
-      const double* row = cpt.Row(d);
+      const CptRow row = s.CptAt(next - 1).Row(d);
       for (const Frame& f : frontier) {
-        for (DomainIndex d2 = 0; d2 < s.domain_size(); ++d2) {
-          double q = row[d2];
+        for (const auto [d2, q] : row) {
           if (q <= 0) continue;
           Frame nf = f;
           nf.prob *= q;
@@ -419,13 +414,11 @@ void RegularChain::BuildHiddenRows(Timestamp next) {
         if (next > st.horizon()) {
           s.frames2 = s.frames;  // ended: digit 0, probability 1
         } else if (next > 1) {
-          const Matrix& cpt = st.CptAt(next - 1);
           const DomainIndex d =
               static_cast<DomainIndex>((h / part.radix) % dom);
-          const double* row = cpt.Row(d);
+          const CptRow row = st.CptAt(next - 1).Row(d);
           for (const auto& [h2, pr] : s.frames) {
-            for (DomainIndex d2 = 0; d2 < dom; ++d2) {
-              const double q = row[d2];
+            for (const auto [d2, q] : row) {
               if (q <= 0) continue;
               s.frames2.emplace_back(h2 + part.radix * d2, pr * q);
             }
@@ -571,12 +564,10 @@ std::shared_ptr<const TransitionRowSet> RegularChain::BuildRowSet(
       if (next > st.horizon()) {
         frames2 = frames;  // ended: digit 0, probability 1
       } else if (next > 1) {
-        const Matrix& cpt = st.CptAt(next - 1);
         const DomainIndex d = static_cast<DomainIndex>((h / part.radix) % dom);
-        const double* row = cpt.Row(d);
+        const CptRow row = st.CptAt(next - 1).Row(d);
         for (const auto& [h2, pr] : frames) {
-          for (DomainIndex d2 = 0; d2 < dom; ++d2) {
-            const double q = row[d2];
+          for (const auto [d2, q] : row) {
             if (q <= 0) continue;
             frames2.emplace_back(h2 + part.radix * d2, pr * q);
           }

@@ -151,8 +151,10 @@ DomainIndex SamplingEngine::Draw(size_t i, StreamId s, Timestamp t,
   if (t > stream.horizon()) return kBottom;  // the stream has ended
   Rng& rng = sample_rngs_[i];
   if (stream.markovian() && t > 1) {
-    const Matrix& cpt = stream.CptAt(t - 1);
-    const size_t d = rng.Categorical(cpt.Row(prev), cpt.cols());
+    const CptView cpt = stream.CptAt(t - 1);
+    const CptRow row = cpt.Row(prev);
+    const size_t d =
+        rng.Categorical(row.cols(), row.probs(), row.size(), cpt.cols());
     return d >= cpt.cols() ? kBottom : static_cast<DomainIndex>(d);
   }
   const std::vector<double>& m = stream.MarginalAt(t);

@@ -44,16 +44,16 @@ std::vector<DomainIndex> ViterbiPath(const Stream& stream) {
                                              std::vector<DomainIndex>(D, 0));
   std::vector<double> next(D, kNegInf);
   for (Timestamp t = 2; t <= T; ++t) {
-    const Matrix& cpt = stream.CptAt(t - 1);
+    const CptView cpt = stream.CptAt(t - 1);
     std::fill(next.begin(), next.end(), kNegInf);
     for (size_t d = 0; d < D; ++d) {
       if (delta[d] == kNegInf) continue;
-      const double* row = cpt.Row(d);
-      for (size_t d2 = 0; d2 < D; ++d2) {
-        double cand = delta[d] + SafeLog(row[d2]);
-        if (cand > next[d2]) {
-          next[d2] = cand;
-          back[t][d2] = static_cast<DomainIndex>(d);
+      // Unstored entries give SafeLog(0) = -inf, which never beats `next`.
+      for (const CptEntry e : cpt.Row(d)) {
+        double cand = delta[d] + SafeLog(e.p);
+        if (cand > next[e.col]) {
+          next[e.col] = cand;
+          back[t][e.col] = static_cast<DomainIndex>(d);
         }
       }
     }

@@ -89,9 +89,9 @@ Status EventDatabase::AppendInitial(StreamId id, std::vector<double> dist) {
   return Status::OK();
 }
 
-Status EventDatabase::AppendMarkovStep(StreamId id, Matrix cpt) {
+Status EventDatabase::AppendMarkovStep(StreamId id, const Matrix& cpt) {
   if (id >= streams_.size()) return Status::OutOfRange("bad stream id");
-  LAHAR_RETURN_NOT_OK(streams_[id].AppendMarkovStep(std::move(cpt)));
+  LAHAR_RETURN_NOT_OK(streams_[id].AppendMarkovStep(cpt));
   horizon_ = std::max(horizon_, streams_[id].horizon());
   return Status::OK();
 }

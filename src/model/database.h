@@ -95,7 +95,7 @@ class EventDatabase {
   /// AppendInitial / AppendMarkovStep) and advances the database clock.
   Status AppendMarginal(StreamId id, std::vector<double> dist);
   Status AppendInitial(StreamId id, std::vector<double> dist);
-  Status AppendMarkovStep(StreamId id, Matrix cpt);
+  Status AppendMarkovStep(StreamId id, const Matrix& cpt);
 
   /// Largest horizon across streams (the database clock T).
   Timestamp horizon() const { return horizon_; }

@@ -101,13 +101,11 @@ Status WriteDatabase(const EventDatabase& db, std::ostream* out) {
       WriteSparseDist(stream.MarginalAt(1), out);
       *out << "\n";
       for (Timestamp t = 1; t < stream.horizon(); ++t) {
-        const Matrix& cpt = stream.CptAt(t);
+        const CptView cpt = stream.CptAt(t);
         *out << "cpt " << t;
         for (size_t r = 0; r < cpt.rows(); ++r) {
-          for (size_t c = 0; c < cpt.cols(); ++c) {
-            if (cpt.At(r, c) > 0) {
-              *out << " " << r << ":" << c << ":" << cpt.At(r, c);
-            }
+          for (const CptEntry e : cpt.Row(r)) {
+            if (e.p > 0) *out << " " << r << ":" << e.col << ":" << e.p;
           }
         }
         *out << "\n";
@@ -150,7 +148,7 @@ Result<double> ParseProb(const std::string& token) {
   char* end = nullptr;
   double v = std::strtod(token.c_str(), &end);
   if (end == nullptr || *end != '\0' || end == token.c_str() ||
-      !(v >= 0.0) || v > 1.0 + 1e-9) {
+      !CheckProbability(v).ok()) {
     return Status::ParseError("bad probability '" + token + "'");
   }
   return v;

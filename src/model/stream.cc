@@ -1,5 +1,6 @@
 #include "model/stream.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstring>
@@ -7,13 +8,22 @@
 namespace lahar {
 namespace {
 
-Status CheckDistribution(const std::vector<double>& dist) {
+// CheckProbability's bound, written so NaN fails too: it fails every
+// comparison.
+bool InProbabilityRange(double p) { return p >= -1e-9 && p <= 1 + 1e-9; }
+
+// Entries and sum of the first `n` entries of `p`, as a stored distribution.
+// The loop only accumulates the range test; the Status naming the bad
+// entry is built after it, off the path every valid update takes.
+Status CheckDistribution(const double* p, size_t n) {
   double total = 0;
-  for (double p : dist) {
-    if (p < -1e-9 || p > 1 + 1e-9) {
-      return Status::InvalidArgument("probability out of [0,1]");
-    }
-    total += p;
+  bool in_range = true;
+  for (size_t i = 0; i < n; ++i) {
+    in_range &= InProbabilityRange(p[i]);
+    total += p[i];
+  }
+  for (size_t i = 0; !in_range && i < n; ++i) {
+    LAHAR_RETURN_NOT_OK(CheckProbability(p[i]));
   }
   if (std::fabs(total - 1.0) > 1e-6) {
     return Status::InvalidArgument("distribution sums to " +
@@ -26,6 +36,14 @@ const std::vector<double> kEmptyDist;
 
 }  // namespace
 
+Status CheckProbability(double p) {
+  if (!InProbabilityRange(p)) {
+    return Status::InvalidArgument("probability " + std::to_string(p) +
+                                   " is not within [0,1]");
+  }
+  return Status::OK();
+}
+
 Stream::Stream(SymbolId type, ValueTuple key, size_t num_value_attrs,
                Timestamp horizon, bool markovian)
     : type_(type),
@@ -37,31 +55,18 @@ Stream::Stream(SymbolId type, ValueTuple key, size_t num_value_attrs,
   marginals_.resize(horizon_ + 1);
   if (markovian_) {
     cpts_.resize(horizon_);  // cpts_[1..horizon-1]
-    cpt_digests_.resize(horizon_);
+    cpt_bytes_ = cpts_.size() * sizeof(CptSlice);
   }
 }
 
-// Dual word-wise FNV-1a over dims then raw entry bits. Word-wise (not
-// byte-wise) keeps the cost well under one pass of the validation checks
-// that already read every entry on the write path.
-std::array<uint64_t, 2> Stream::DigestCpt(const Matrix& cpt) {
-  uint64_t lo = 0xcbf29ce484222325ULL;
-  uint64_t hi = 0x84222325cbf29ce4ULL;
-  auto mix = [&](uint64_t v) {
-    lo = (lo ^ v) * 0x100000001b3ULL;
-    hi = (hi ^ v) * 0x00000100000001b3ULL + 0x9e3779b97f4a7c15ULL;
-  };
-  mix(cpt.rows());
-  mix(cpt.cols());
-  for (size_t r = 0; r < cpt.rows(); ++r) {
-    const double* row = cpt.Row(r);
-    for (size_t c = 0; c < cpt.cols(); ++c) {
-      uint64_t bits;
-      std::memcpy(&bits, &row[c], sizeof(bits));
-      mix(bits);
-    }
+void Stream::StoreCpt(Timestamp t, CptSlice slice) {
+  if (t == cpts_.size()) {
+    cpts_.emplace_back();
+    cpt_bytes_ += sizeof(CptSlice);
   }
-  return {lo, hi};
+  cpt_entries_ += slice.nonzeros() - cpts_[t].nonzeros();
+  cpt_bytes_ += slice.bytes() - cpts_[t].bytes();
+  cpts_[t] = std::move(slice);
 }
 
 DomainIndex Stream::InternTuple(const ValueTuple& values) {
@@ -81,8 +86,8 @@ DomainIndex Stream::LookupTuple(const ValueTuple& values) const {
 
 Status Stream::SetMarginal(Timestamp t, std::vector<double> dist) {
   if (t < 1 || t > horizon_) return Status::OutOfRange("timestep out of range");
+  LAHAR_RETURN_NOT_OK(CheckMarginal(dist));
   dist.resize(domain_.size(), 0.0);
-  LAHAR_RETURN_NOT_OK(CheckDistribution(dist));
   marginals_[t] = std::move(dist);
   return Status::OK();
 }
@@ -94,25 +99,33 @@ Status Stream::SetInitial(std::vector<double> dist) {
   return SetMarginal(1, std::move(dist));
 }
 
-Status Stream::SetCpt(Timestamp t, Matrix cpt) {
-  if (!markovian_) {
-    return Status::InvalidArgument("SetCpt requires a Markovian stream");
-  }
-  if (t < 1 || t >= horizon_) return Status::OutOfRange("CPT timestep");
+Status Stream::CheckMarginal(const std::vector<double>& dist) const {
+  return CheckDistribution(dist.data(),
+                           std::min(dist.size(), domain_.size()));
+}
+
+Status Stream::CheckCpt(const Matrix& cpt) const {
   if (cpt.rows() != domain_.size() || cpt.cols() != domain_.size()) {
     return Status::InvalidArgument(
         "CPT must be D x D over the stream domain; intern all tuples first");
   }
   for (size_t r = 0; r < cpt.rows(); ++r) {
-    double total = 0;
-    for (size_t c = 0; c < cpt.cols(); ++c) total += cpt.At(r, c);
-    if (std::fabs(total - 1.0) > 1e-6) {
-      return Status::InvalidArgument("CPT row " + std::to_string(r) +
-                                     " sums to " + std::to_string(total));
+    const Status st = CheckDistribution(cpt.Row(r), cpt.cols());
+    if (!st.ok()) {
+      return Status::InvalidArgument("CPT row " + std::to_string(r) + ": " +
+                                     st.message());
     }
   }
-  cpts_[t] = std::move(cpt);
-  cpt_digests_[t] = DigestCpt(cpts_[t]);
+  return Status::OK();
+}
+
+Status Stream::SetCpt(Timestamp t, const Matrix& cpt) {
+  if (!markovian_) {
+    return Status::InvalidArgument("SetCpt requires a Markovian stream");
+  }
+  if (t < 1 || t >= horizon_) return Status::OutOfRange("CPT timestep");
+  LAHAR_RETURN_NOT_OK(CheckCpt(cpt));
+  StoreCpt(t, CptSlice(cpt));
   return Status::OK();
 }
 
@@ -125,7 +138,7 @@ Status Stream::FinalizeMarkov() {
     if (cpts_[t].rows() == 0) {
       return Status::InvalidArgument("missing CPT at t=" + std::to_string(t));
     }
-    marginals_[t + 1] = cpts_[t].LeftMultiply(marginals_[t]);
+    cpts_[t].view().LeftMultiplyInto(marginals_[t], &marginals_[t + 1]);
   }
   return Status::OK();
 }
@@ -137,7 +150,8 @@ Status Stream::PruneCpts(double epsilon, size_t* entries_before,
   }
   size_t before = 0, after = 0;
   for (Timestamp t = 1; t < horizon_; ++t) {
-    Matrix& cpt = cpts_[t];
+    // Pruning is offline: expand the slice, prune it dense, re-sparsify.
+    Matrix cpt = cpts_[t].view().ToDense();
     for (size_t r = 0; r < cpt.rows(); ++r) {
       double kept = 0;
       size_t kept_count = 0;
@@ -162,7 +176,7 @@ Status Stream::PruneCpts(double epsilon, size_t* entries_before,
       }
       after += kept_count;
     }
-    cpt_digests_[t] = DigestCpt(cpt);
+    StoreCpt(t, CptSlice(cpt));
   }
   if (entries_before != nullptr) *entries_before = before;
   if (entries_after != nullptr) *entries_after = after;
@@ -174,8 +188,8 @@ Status Stream::AppendMarginal(std::vector<double> dist) {
     return Status::InvalidArgument(
         "AppendMarginal requires an independent stream; use AppendMarkovStep");
   }
+  LAHAR_RETURN_NOT_OK(CheckMarginal(dist));
   dist.resize(domain_.size(), 0.0);
-  LAHAR_RETURN_NOT_OK(CheckDistribution(dist));
   marginals_.push_back(std::move(dist));
   ++horizon_;
   return Status::OK();
@@ -190,16 +204,15 @@ Status Stream::AppendInitial(std::vector<double> dist) {
     return Status::InvalidArgument(
         "AppendInitial requires an empty stream (horizon 0)");
   }
+  LAHAR_RETURN_NOT_OK(CheckMarginal(dist));
   dist.resize(domain_.size(), 0.0);
-  LAHAR_RETURN_NOT_OK(CheckDistribution(dist));
   marginals_.push_back(std::move(dist));
-  cpts_.emplace_back();  // index 0 placeholder; CPTs live at 1..horizon-1
-  cpt_digests_.emplace_back();
+  StoreCpt(0, CptSlice());  // placeholder; CPTs live at 1..horizon-1
   horizon_ = 1;
   return Status::OK();
 }
 
-Status Stream::AppendMarkovStep(Matrix cpt) {
+Status Stream::AppendMarkovStep(const Matrix& cpt) {
   if (!markovian_) {
     return Status::InvalidArgument(
         "AppendMarkovStep requires a Markovian stream");
@@ -208,20 +221,11 @@ Status Stream::AppendMarkovStep(Matrix cpt) {
     return Status::InvalidArgument(
         "set the initial marginal (and finalize) before appending");
   }
-  if (cpt.rows() != domain_.size() || cpt.cols() != domain_.size()) {
-    return Status::InvalidArgument("CPT must be D x D over the stream domain");
-  }
-  for (size_t r = 0; r < cpt.rows(); ++r) {
-    double total = 0;
-    for (size_t c = 0; c < cpt.cols(); ++c) total += cpt.At(r, c);
-    if (std::fabs(total - 1.0) > 1e-6) {
-      return Status::InvalidArgument("CPT row " + std::to_string(r) +
-                                     " sums to " + std::to_string(total));
-    }
-  }
-  marginals_.push_back(cpt.LeftMultiply(marginals_[horizon_]));
-  cpts_.push_back(std::move(cpt));
-  cpt_digests_.push_back(DigestCpt(cpts_.back()));
+  LAHAR_RETURN_NOT_OK(CheckCpt(cpt));
+  StoreCpt(horizon_, CptSlice(cpt));
+  marginals_.emplace_back();
+  cpts_[horizon_].view().LeftMultiplyInto(marginals_[horizon_],
+                                          &marginals_[horizon_ + 1]);
   ++horizon_;
   return Status::OK();
 }
@@ -231,14 +235,14 @@ const std::vector<double>& Stream::MarginalAt(Timestamp t) const {
   return marginals_[t];
 }
 
-const Matrix& Stream::CptAt(Timestamp t) const {
+CptView Stream::CptAt(Timestamp t) const {
   assert(markovian_ && t >= 1 && t < horizon_);
-  return cpts_[t];
+  return cpts_[t].view();
 }
 
 const std::array<uint64_t, 2>& Stream::CptDigestAt(Timestamp t) const {
   assert(markovian_ && t >= 1 && t < horizon_);
-  return cpt_digests_[t];
+  return cpts_[t].digest();
 }
 
 double Stream::ProbAt(Timestamp t, DomainIndex d) const {
@@ -272,13 +276,12 @@ std::vector<DomainIndex> Stream::SampleTrajectory(Rng* rng) const {
   const auto& init = MarginalAt(1);
   size_t d0 = rng->Categorical(init);
   traj[1] = d0 >= init.size() ? kBottom : static_cast<DomainIndex>(d0);
-  std::vector<double> row(domain_.size());
   for (Timestamp t = 1; t < horizon_; ++t) {
-    const Matrix& cpt = cpts_[t];
-    const double* r = cpt.Row(traj[t]);
-    row.assign(r, r + cpt.cols());
-    size_t d = rng->Categorical(row);
-    traj[t + 1] = d >= row.size() ? kBottom : static_cast<DomainIndex>(d);
+    const CptView cpt = cpts_[t].view();
+    const CptRow row = cpt.Row(traj[t]);
+    const size_t d =
+        rng->Categorical(row.cols(), row.probs(), row.size(), cpt.cols());
+    traj[t + 1] = d >= cpt.cols() ? kBottom : static_cast<DomainIndex>(d);
   }
   return traj;
 }
@@ -289,7 +292,7 @@ double Stream::TrajectoryProb(const std::vector<DomainIndex>& traj) const {
   double p = ProbAt(1, traj[1]);
   for (Timestamp t = 1; t < horizon_ && p > 0; ++t) {
     if (markovian_) {
-      p *= cpts_[t].At(traj[t], traj[t + 1]);
+      p *= cpts_[t].view().At(traj[t], traj[t + 1]);
     } else {
       p *= ProbAt(t + 1, traj[t + 1]);
     }
@@ -355,11 +358,18 @@ void Stream::SaveTo(serial::Writer* w) const {
   // cpts_.size() == horizon_, Set-built ones horizon_ at declaration time,
   // independent streams 0.
   w->U64(cpts_.size());
-  for (const Matrix& cpt : cpts_) {
+  for (const CptSlice& slice : cpts_) {
+    const CptView cpt = slice.view();
     w->U64(cpt.rows());
     w->U64(cpt.cols());
     for (size_t r = 0; r < cpt.rows(); ++r) {
-      for (size_t c = 0; c < cpt.cols(); ++c) w->F64(cpt.At(r, c));
+      size_t c = 0;
+      for (const CptEntry e : cpt.Row(r)) {
+        for (; c < e.col; ++c) w->F64(0.0);
+        w->F64(e.p);
+        ++c;
+      }
+      for (; c < cpt.cols(); ++c) w->F64(0.0);
     }
   }
 }
@@ -375,6 +385,11 @@ Result<Stream> Stream::LoadFrom(serial::Reader* r) {
   LAHAR_RETURN_NOT_OK(r->U32(&horizon));
   LAHAR_RETURN_NOT_OK(r->U8(&markovian));
   LAHAR_RETURN_NOT_OK(r->U64(&domain_count));
+  // Every timestep takes at least its presence byte, so a horizon past
+  // the remaining bytes is corrupt; refuse it before allocating for it.
+  if (horizon > r->remaining()) {
+    return Status::InvalidArgument("stream horizon exceeds snapshot size");
+  }
   Stream s(type, std::move(key), num_value_attrs, horizon, markovian != 0);
   for (uint64_t d = 0; d < domain_count; ++d) {
     ValueTuple tuple;
@@ -388,28 +403,51 @@ Result<Stream> Stream::LoadFrom(serial::Reader* r) {
     uint8_t present;
     LAHAR_RETURN_NOT_OK(r->U8(&present));
     if (present != 0) {
-      LAHAR_RETURN_NOT_OK(r->DoubleVec(&s.marginals_[t]));
+      std::vector<double>& m = s.marginals_[t];
+      LAHAR_RETURN_NOT_OK(r->DoubleVec(&m));
+      if (m.size() > s.domain_size()) {
+        return Status::InvalidArgument("marginal longer than the domain");
+      }
+      // A Markovian stream's marginals past t = 1 were chained through its
+      // CPTs rather than written, so the write-path bound, whose sum
+      // tolerance chaining can compound, is not theirs to meet; they must
+      // still be finite.
+      const bool chained = s.markovian_ && t > 1;
+      for (double p : m) {
+        if (chained && !std::isfinite(p)) {
+          return Status::InvalidArgument("non-finite chained marginal");
+        }
+        if (!chained) LAHAR_RETURN_NOT_OK(CheckProbability(p));
+      }
     }
   }
+  // Set-built and append-built Markovian streams both hold one slot per
+  // timestep (slot 0 unused); independent streams hold none.
   uint64_t num_cpts;
   LAHAR_RETURN_NOT_OK(r->U64(&num_cpts));
-  s.cpts_.resize(num_cpts);
+  if (num_cpts != (s.markovian_ ? horizon : 0)) {
+    return Status::InvalidArgument("CPT count does not match the horizon");
+  }
+  Matrix dense;
   for (uint64_t i = 0; i < num_cpts; ++i) {
     uint64_t rows, cols;
     LAHAR_RETURN_NOT_OK(r->U64(&rows));
     LAHAR_RETURN_NOT_OK(r->U64(&cols));
-    Matrix m(rows, cols);
+    // Slices are D x D over the domain as it was when they were written;
+    // dividing keeps an untrusted size from wrapping the bound.
+    if (rows != cols || cols > s.domain_size() ||
+        (cols != 0 && rows > r->remaining() / 8 / cols)) {
+      return Status::InvalidArgument("bad CPT dimensions in snapshot");
+    }
+    dense = Matrix(rows, cols);
     for (uint64_t rr = 0; rr < rows; ++rr) {
+      double* row = dense.Row(rr);
       for (uint64_t cc = 0; cc < cols; ++cc) {
-        LAHAR_RETURN_NOT_OK(r->F64(&m.At(rr, cc)));
+        LAHAR_RETURN_NOT_OK(r->F64(&row[cc]));
+        LAHAR_RETURN_NOT_OK(CheckProbability(row[cc]));
       }
     }
-    s.cpts_[i] = std::move(m);
-  }
-  // The digest cache is not part of the snapshot format; rebuild it.
-  s.cpt_digests_.resize(s.cpts_.size());
-  for (size_t i = 0; i < s.cpts_.size(); ++i) {
-    s.cpt_digests_[i] = DigestCpt(s.cpts_[i]);
+    s.StoreCpt(static_cast<Timestamp>(i), CptSlice(dense));
   }
   return s;
 }
@@ -421,7 +459,8 @@ Status Stream::Validate() const {
       return Status::Internal("marginal size mismatch at t=" +
                               std::to_string(t));
     }
-    LAHAR_RETURN_NOT_OK(CheckDistribution(marginals_[t]));
+    LAHAR_RETURN_NOT_OK(
+        CheckDistribution(marginals_[t].data(), marginals_[t].size()));
   }
   return Status::OK();
 }

@@ -25,6 +25,7 @@
 #include "common/rng.h"
 #include "common/serial.h"
 #include "common/status.h"
+#include "model/cpt.h"
 #include "model/event.h"
 #include "model/value.h"
 
@@ -39,6 +40,11 @@ using DomainIndex = uint32_t;
 
 /// Index 0 of every stream domain: the event did not occur.
 inline constexpr DomainIndex kBottom = 0;
+
+/// The one check every stored probability passes, on every path that
+/// writes or reads one (Stream's Set/Append calls, ApplyBatch, the text
+/// reader, Stream::LoadFrom): finite, and within [-1e-9, 1 + 1e-9].
+Status CheckProbability(double p);
 
 /// \brief One probabilistic event stream: (type, key) over timeline 1..T.
 class Stream {
@@ -79,8 +85,8 @@ class Stream {
 
   /// Sets the CPT governing the transition from timestep t to t+1
   /// (Markovian streams): cpt.At(d, d') = P[e(t+1) = d' | e(t) = d].
-  /// Rows must sum to 1. Valid t: 1..horizon-1.
-  Status SetCpt(Timestamp t, Matrix cpt);
+  /// Must pass CheckCpt. Valid t: 1..horizon-1. Stored sparse (model/cpt.h).
+  Status SetCpt(Timestamp t, const Matrix& cpt);
 
   /// Chains the initial marginal through the CPTs to populate the per-step
   /// marginals. Must be called after all SetCpt calls on Markovian streams.
@@ -106,22 +112,35 @@ class Stream {
 
   /// Appends one timestep to a Markovian stream: `cpt` governs the
   /// transition from the current last timestep to the new one; the new
-  /// marginal is chained automatically. Requires a set initial marginal.
-  Status AppendMarkovStep(Matrix cpt);
+  /// marginal is chained automatically. Requires a set initial marginal;
+  /// `cpt` must pass CheckCpt.
+  Status AppendMarkovStep(const Matrix& cpt);
+
+  /// The checks SetMarginal / AppendMarginal / AppendInitial run on `dist`
+  /// as they store it (resized to the domain): every entry passes
+  /// CheckProbability and the entries sum to 1 within 1e-6. Lets a caller
+  /// validate an update without mutating the stream.
+  Status CheckMarginal(const std::vector<double>& dist) const;
+
+  /// The checks SetCpt / AppendMarkovStep run on `cpt`: D x D over the
+  /// current domain, every entry passes CheckProbability, and every row
+  /// sums to 1 within 1e-6.
+  Status CheckCpt(const Matrix& cpt) const;
 
   /// Marginal distribution at timestep t (1..horizon). Entries beyond the
   /// stored vector's size are zero.
   const std::vector<double>& MarginalAt(Timestamp t) const;
 
-  /// CPT for the transition t -> t+1. Requires markovian() and 1<=t<horizon.
-  const Matrix& CptAt(Timestamp t) const;
+  /// CPT for the transition t -> t+1, as a view of its stored nonzero
+  /// entries. Requires markovian() and 1<=t<horizon. Its dims are the
+  /// domain size when the slice was written.
+  CptView CptAt(Timestamp t) const;
 
-  /// Content digest (dual word-wise FNV over dims + entry bits) of
-  /// CptAt(t), maintained wherever the slice is written, so reading it is
-  /// O(1). Engines use it to validate shared transition-row reuse per tick
-  /// without re-reading slice bytes (automaton/rows.h); equal digests on
-  /// structurally equal streams mean bit-equal slices. Same preconditions
-  /// as CptAt.
+  /// Content digest of CptAt(t) (CptSlice::digest), computed when the
+  /// slice is written, so reading it is O(1). Engines use it to validate
+  /// shared transition-row reuse per tick without re-reading slice bytes
+  /// (automaton/rows.h); equal digests on structurally equal streams mean
+  /// bit-equal slices. Same preconditions as CptAt.
   const std::array<uint64_t, 2>& CptDigestAt(Timestamp t) const;
 
   /// Marginal probability of domain index d at time t (0 if out of range).
@@ -139,10 +158,16 @@ class Stream {
   /// Checks all stored distributions.
   Status Validate() const;
 
+  /// Stored CPT entries and the bytes their slices hold (model/cpt.h).
+  size_t cpt_entries() const { return cpt_entries_; }
+  size_t cpt_bytes() const { return cpt_bytes_; }
+
   /// Field-exact binary snapshot for checkpointing. Unlike the Append/Set
   /// API, this preserves unset (certain-bottom) timesteps and marginals
   /// recorded before later domain growth exactly as stored, so LoadFrom
-  /// reproduces the stream state bit-for-bit.
+  /// reproduces the stream state bit-for-bit. CPT slices are written
+  /// dense (rows x cols doubles, zeros included) and re-sparsified on load;
+  /// LoadFrom refuses any entry that fails CheckProbability.
   void SaveTo(serial::Writer* w) const;
   static Result<Stream> LoadFrom(serial::Reader* r);
 
@@ -156,16 +181,17 @@ class Stream {
   std::vector<ValueTuple> domain_;  // [0] = bottom (empty tuple)
   std::unordered_map<ValueTuple, DomainIndex, ValueTupleHash> domain_index_;
 
+  // Replaces cpts_[t], keeping the footprint counters current.
+  void StoreCpt(Timestamp t, CptSlice slice);
+
   // marginals_[t] for t = 1..horizon (index 0 unused).
   std::vector<std::vector<double>> marginals_;
-  static std::array<uint64_t, 2> DigestCpt(const Matrix& cpt);
 
   // cpts_[t] is the transition t -> t+1, for t = 1..horizon-1 (Markovian).
-  std::vector<Matrix> cpts_;
-  // cpt_digests_[t] mirrors cpts_[t] — recomputed wherever a slice is
-  // written (Set/Append/Prune/LoadFrom), never serialized (snapshot bytes
-  // are unchanged by this cache; LoadFrom rebuilds it).
-  std::vector<std::array<uint64_t, 2>> cpt_digests_;
+  // Each slice owns its buffers, so appending slices never moves entries.
+  std::vector<CptSlice> cpts_;
+  size_t cpt_entries_ = 0;
+  size_t cpt_bytes_ = 0;  // the slices' buffers plus sizeof each slot
 };
 
 }  // namespace lahar

@@ -246,6 +246,10 @@ RuntimeStats StreamRuntime::Stats() const {
     out.reorder_window = reorder_.window();
     out.reorder_late_dropped = reorder_.late_dropped();
     out.reorder_merged = reorder_.merged();
+    for (StreamId id = 0; id < db_->num_streams(); ++id) {
+      out.cpt_entries += db_->stream(id).cpt_entries();
+      out.cpt_bytes += db_->stream(id).cpt_bytes();
+    }
     out.tick_latency = tick_latency_.Summarize();
     out.windows_executed = windows_executed_;
     out.max_window_ticks = window_cap_;

@@ -1,7 +1,6 @@
 #include "runtime/ingest.h"
 
 #include <algorithm>
-#include <cmath>
 #include <string>
 #include <unordered_set>
 
@@ -134,40 +133,6 @@ bool Watermark::ended(StreamId id) const {
 
 namespace {
 
-// Mirrors the checks Stream::Append{Marginal,Initial} run after resizing to
-// the domain, so a validated update cannot fail at apply time.
-Status CheckUpdateDistribution(const Stream& s, std::vector<double> dist) {
-  dist.resize(s.domain_size(), 0.0);
-  double total = 0;
-  for (double p : dist) {
-    if (p < -1e-9 || p > 1 + 1e-9) {
-      return Status::InvalidArgument("probability out of [0,1]");
-    }
-    total += p;
-  }
-  if (std::fabs(total - 1.0) > 1e-6) {
-    return Status::InvalidArgument("distribution sums to " +
-                                   std::to_string(total));
-  }
-  return Status::OK();
-}
-
-// Mirrors Stream::AppendMarkovStep's CPT checks.
-Status CheckUpdateCpt(const Stream& s, const Matrix& cpt) {
-  if (cpt.rows() != s.domain_size() || cpt.cols() != s.domain_size()) {
-    return Status::InvalidArgument("CPT must be D x D over the stream domain");
-  }
-  for (size_t r = 0; r < cpt.rows(); ++r) {
-    double total = 0;
-    for (size_t c = 0; c < cpt.cols(); ++c) total += cpt.At(r, c);
-    if (std::fabs(total - 1.0) > 1e-6) {
-      return Status::InvalidArgument("CPT row " + std::to_string(r) +
-                                     " sums to " + std::to_string(total));
-    }
-  }
-  return Status::OK();
-}
-
 // Full validation for one update at tick `t`, with no mutation. Every check
 // the apply path would perform runs here first, so the apply loop below
 // cannot fail mid-batch.
@@ -194,14 +159,14 @@ Status ValidateUpdate(const EventDatabase& db, Timestamp t,
           "CPT update for Markovian stream " + std::to_string(u.stream) +
           " before its initial marginal");
     }
-    return CheckUpdateCpt(s, *u.cpt);
+    return s.CheckCpt(*u.cpt);
   }
   if (s.markovian() && s.horizon() != 0) {
     return Status::InvalidArgument(
         "marginal update for Markovian stream " + std::to_string(u.stream) +
         " past t=1 (expected a CPT)");
   }
-  return CheckUpdateDistribution(s, u.marginal);
+  return s.CheckMarginal(u.marginal);
 }
 
 }  // namespace
@@ -219,7 +184,7 @@ Status ApplyBatch(EventDatabase* db, const TickBatch& batch,
     }
     LAHAR_RETURN_NOT_OK(ValidateUpdate(*db, batch.t, u));
   }
-  // Phase 2: apply. Validation mirrored every apply-side check, so a
+  // Phase 2: apply. Validation ran the stream's own apply-side checks, so a
   // failure here is a programming error, not a data error — surface it as
   // Internal but note the transaction guarantee no longer holds.
   for (const StreamUpdate& u : batch.updates) {

@@ -59,7 +59,7 @@ Result<TickBatch> BatchForTick(const EventDatabase& src, Timestamp t) {
         u.marginal = s.horizon() >= 1 ? s.MarginalAt(1)
                                       : std::vector<double>{1.0};
       } else if (t <= s.horizon()) {
-        u.cpt = s.CptAt(t - 1);
+        u.cpt = s.CptAt(t - 1).ToDense();
       } else {
         // Ended stream: identity CPT holds the last value so the watermark
         // keeps moving (see header caveat).

@@ -206,6 +206,10 @@ struct RuntimeStats : SessionCounters {
   size_t reorder_window = 0;      ///< configured reorder window (ticks)
   uint64_t reorder_late_dropped = 0;  ///< stale duplicates dropped
   uint64_t reorder_merged = 0;        ///< buffered duplicates merged away
+  /// The live database's stored CPT entries (nonzero transitions) and the
+  /// bytes their sparse slices hold (model/cpt.h).
+  size_t cpt_entries = 0;
+  size_t cpt_bytes = 0;
   /// Registered queries per class, (class name, count) in class order —
   /// every class the runtime is currently serving, including approximate
   /// sampling sessions.
@@ -285,6 +289,9 @@ struct RuntimeStats : SessionCounters {
     v("reorder_window", &RuntimeStats::reorder_window);
     v("reorder_late_dropped", &RuntimeStats::reorder_late_dropped);
     v("reorder_merged", &RuntimeStats::reorder_merged);
+    v.Section("cpt");
+    v("cpt_entries", &RuntimeStats::cpt_entries);
+    v("cpt_bytes", &RuntimeStats::cpt_bytes);
     v.Section("windows");
     v("windows_executed", &RuntimeStats::windows_executed);
     v("max_window_ticks", &RuntimeStats::max_window_ticks);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -276,6 +277,49 @@ TEST(CheckpointRoundTripTest, CorruptOrTruncatedSnapshotFailsCleanly) {
   }
   ExpectResumesBitIdentically(archive, snapshot, kCheckpointAt,
                               uninterrupted);
+}
+
+TEST(CheckpointRoundTripTest, SealedSnapshotWithNaNCptEntryIsRefused) {
+  // The CRC trailer catches corruption, not crafting: whoever writes the
+  // bytes can seal them. Restore must still refuse a CPT entry that no
+  // write path would have stored.
+  EventDatabase archive = BuildArchive(4);
+  RunOutput run = RunWithCheckpoint(archive, 2);
+  ASSERT_FALSE(run.snapshot.empty());
+  // Bob's CPT slice as Stream::SaveTo writes it (dims, then every entry
+  // dense); all of Bob's slices are equal.
+  const Matrix cpt = archive.stream(2).CptAt(1).ToDense();
+  serial::Writer slice;
+  slice.U64(cpt.rows());
+  slice.U64(cpt.cols());
+  for (size_t r = 0; r < cpt.rows(); ++r) {
+    for (size_t c = 0; c < cpt.cols(); ++c) slice.F64(cpt.At(r, c));
+  }
+  const size_t at = run.snapshot.find(slice.str());
+  ASSERT_NE(at, std::string::npos);
+  auto reseal = [](std::string body) {
+    body.resize(body.size() - kCheckpointTrailerBytes);
+    serial::Writer crc;
+    crc.U32(serial::Crc32(body));
+    return body + crc.str();
+  };
+  auto restore = [&](const std::string& snapshot) {
+    auto clone = CloneDeclarations(archive);
+    EXPECT_TRUE(clone.ok());
+    StreamRuntime runtime(clone->get(), RuntimeOptions{});
+    return runtime.Restore(snapshot);
+  };
+  // Resealing alone changes nothing: the untouched bytes restore.
+  ASSERT_OK(restore(reseal(run.snapshot)));
+  std::string crafted = run.snapshot;
+  serial::Writer nan;
+  nan.F64(std::numeric_limits<double>::quiet_NaN());
+  // Entry (1, 1): after the two u64 dims, one row of cols() doubles in.
+  crafted.replace(at + 16 + 8 * (cpt.cols() + 1), 8, nan.str());
+  const Status st = restore(reseal(crafted));
+  EXPECT_FALSE(st.ok());
+  EXPECT_NE(st.ToString().find("probability"), std::string::npos)
+      << st.ToString();
 }
 
 TEST(CheckpointRoundTripTest, RestoreGuardsBadInput) {

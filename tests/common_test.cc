@@ -151,16 +151,18 @@ std::vector<double> WeightsWithZeroRuns(Rng* gen) {
   return w;
 }
 
-// The sparse form Rng::SparseCategorical reads: nonzero indices and the
-// running sums through them, added in index order.
+// The sparse forms the running-sum and sparse-row draws read: nonzero
+// indices, the running sums through them added in index order, and the
+// nonzero weights themselves (a CSR row).
 void RunningSums(const std::vector<double>& w, std::vector<uint32_t>* cols,
-                 std::vector<double>* sums) {
+                 std::vector<double>* sums, std::vector<double>* nonzeros) {
   double acc = 0;
   for (size_t i = 0; i < w.size(); ++i) {
     if (w[i] == 0) continue;
     acc += w[i];
     cols->push_back(static_cast<uint32_t>(i));
     sums->push_back(acc);
+    nonzeros->push_back(w[i]);
   }
 }
 
@@ -169,16 +171,23 @@ TEST(RngTest, SparseCategoricalMatchesCategorical) {
   for (int trial = 0; trial < 500; ++trial) {
     const std::vector<double> w = WeightsWithZeroRuns(&gen);
     std::vector<uint32_t> cols;
-    std::vector<double> sums;
-    RunningSums(w, &cols, &sums);
-    Rng dense(trial), sparse(trial);
+    std::vector<double> sums, nonzeros;
+    RunningSums(w, &cols, &sums, &nonzeros);
+    Rng dense(trial), sparse(trial), row(trial);
     for (int d = 0; d < 50; ++d) {
+      const size_t expect = dense.Categorical(w);
       ASSERT_EQ(sparse.SparseCategorical(cols.data(), sums.data(),
                                          cols.size(), w.size()),
-                dense.Categorical(w))
+                expect)
+          << "trial " << trial << " draw " << d;
+      ASSERT_EQ(row.Categorical(cols.data(), nonzeros.data(), cols.size(),
+                                w.size()),
+                expect)
           << "trial " << trial << " draw " << d;
     }
-    EXPECT_EQ(sparse.Next(), dense.Next());
+    const uint64_t next = dense.Next();
+    EXPECT_EQ(sparse.Next(), next);
+    EXPECT_EQ(row.Next(), next);
   }
 }
 
@@ -200,8 +209,9 @@ TEST(RngTest, GuideTableMatchesCategorical) {
 
 TEST(RngTest, RunningSumDrawsOfAllZeroWeightsConsumeNothing) {
   const std::vector<double> w(6, 0.0);
-  Rng untouched(4), sparse(4), guided(4), dense(4);
+  Rng untouched(4), sparse(4), guided(4), dense(4), row(4);
   EXPECT_EQ(sparse.SparseCategorical(nullptr, nullptr, 0, w.size()), w.size());
+  EXPECT_EQ(row.Categorical(nullptr, nullptr, 0, w.size()), w.size());
   GuideTable table;
   EXPECT_EQ(table.Reset(w), 0.0);
   EXPECT_EQ(table.Draw(&guided), w.size());
@@ -212,6 +222,7 @@ TEST(RngTest, RunningSumDrawsOfAllZeroWeightsConsumeNothing) {
   EXPECT_EQ(sparse.Next(), next);
   EXPECT_EQ(guided.Next(), next);
   EXPECT_EQ(dense.Next(), next);
+  EXPECT_EQ(row.Next(), next);
 }
 
 TEST(RngTest, RunningSumDrawsFallBackToDenseLastIndex) {
@@ -221,21 +232,25 @@ TEST(RngTest, RunningSumDrawsFallBackToDenseLastIndex) {
                      std::numeric_limits<double>::infinity()}) {
     const std::vector<double> w = {0.0, 0.5, bad, 0.0, 0.0};
     std::vector<uint32_t> cols;
-    std::vector<double> sums;
-    RunningSums(w, &cols, &sums);
+    std::vector<double> sums, nonzeros;
+    RunningSums(w, &cols, &sums, &nonzeros);
     GuideTable table;
     table.Reset(w);
-    Rng dense(8), sparse(8), guided(8);
+    Rng dense(8), sparse(8), guided(8), row(8);
     for (int d = 0; d < 20; ++d) {
       const size_t expect = dense.Categorical(w);
       EXPECT_EQ(sparse.SparseCategorical(cols.data(), sums.data(),
                                          cols.size(), w.size()),
                 expect);
       EXPECT_EQ(table.Draw(&guided), expect);
+      EXPECT_EQ(row.Categorical(cols.data(), nonzeros.data(), cols.size(),
+                                w.size()),
+                expect);
     }
     const uint64_t next = dense.Next();
     EXPECT_EQ(sparse.Next(), next);
     EXPECT_EQ(guided.Next(), next);
+    EXPECT_EQ(row.Next(), next);
   }
 }
 

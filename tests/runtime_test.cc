@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <thread>
 
 #include "engine/extended_engine.h"
@@ -215,6 +216,60 @@ TEST(ApplyBatchTest, SeedsMarkovianStreamThenChainsCpts) {
   EXPECT_EQ(stream.horizon(), 2u);
   EXPECT_NEAR(stream.MarginalAt(2)[1], 0.45, 1e-12);
   EXPECT_NEAR(stream.MarginalAt(2)[2], 0.55, 1e-12);
+}
+
+TEST(ApplyBatchTest, RejectsNonFiniteAndNegativeEntries) {
+  // NaN fails every comparison, so it slips past a range check written as
+  // `p < lo || p > hi` and past a sum check alike; and a CPT row can sum to
+  // 1 with entries outside [0, 1]. Either would poison every later
+  // marginal of the stream.
+  EventDatabase db;
+  lahar::testing::DeclareUnarySchema(&db, "At");
+  Stream s(db.interner().Intern("At"), {db.Sym("Joe")}, 1, 0,
+           /*markovian=*/true);
+  s.InternTuple({db.Sym("a")});
+  s.InternTuple({db.Sym("b")});
+  auto id = db.AddStream(std::move(s));
+  ASSERT_TRUE(id.ok());
+  StreamId indep = AddIndependentStream(&db, "At", "Sue", {{{"a", 0.5}}});
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  Watermark w;
+  w.Track(*id, 0);
+
+  TickBatch init = MakeBatch(1);
+  init.updates.push_back({*id, {0.0, nan, 0.5}, std::nullopt});
+  EXPECT_FALSE(ApplyBatch(&db, init, &w).ok());
+  init.updates[0].marginal = {0.0, 0.5, 0.5};
+  ASSERT_OK(ApplyBatch(&db, init, &w));
+
+  Matrix good(3, 3, 0.0);
+  good.At(0, 0) = 1.0;
+  good.At(1, 1) = 1.0;
+  good.At(2, 2) = 1.0;
+  Matrix negative = good;  // row 1 sums to 1 with an entry below 0
+  negative.At(1, 1) = -0.5;
+  negative.At(1, 2) = 1.5;
+  Matrix with_nan = negative;  // ...and a NaN row below it
+  with_nan.At(2, 1) = nan;
+  Matrix with_inf = good;
+  with_inf.At(2, 1) = inf;
+  for (const Matrix* bad : {&negative, &with_nan, &with_inf}) {
+    TickBatch step = MakeBatch(2);
+    step.updates.push_back({*id, {}, *bad});
+    EXPECT_FALSE(ApplyBatch(&db, step, &w).ok());
+    EXPECT_EQ(db.stream(*id).horizon(), 1u);
+  }
+  TickBatch bad_indep = MakeBatch(2);
+  bad_indep.updates.push_back({indep, {nan, 1.0}, std::nullopt});
+  EXPECT_FALSE(ApplyBatch(&db, bad_indep, nullptr).ok());
+  EXPECT_EQ(db.stream(indep).horizon(), 1u);
+
+  TickBatch step = MakeBatch(2);
+  step.updates.push_back({*id, {}, good});
+  ASSERT_OK(ApplyBatch(&db, step, &w));
+  EXPECT_EQ(db.stream(*id).MarginalAt(2),
+            (std::vector<double>{0.0, 0.5, 0.5}));
 }
 
 TEST(ApplyBatchTest, RejectedBatchLeavesEveryStreamAndWatermarkUntouched) {

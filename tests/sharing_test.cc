@@ -34,7 +34,7 @@ std::unique_ptr<EventDatabase> SmallDb(Timestamp horizon) {
   auto db = std::make_unique<EventDatabase>();
   AddRelation(db.get(), "Room", {{"kitchen"}, {"lounge"}, {"office"}});
   AddRelation(db.get(), "Lounge", {{"lounge"}});
-  for (const std::string& tag : {"tag1", "tag2"}) {
+  for (const std::string tag : {"tag1", "tag2"}) {
     std::vector<StepDist> steps;
     for (Timestamp t = 0; t < horizon; ++t) {
       // Deterministically varied but non-trivial marginals.

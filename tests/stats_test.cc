@@ -39,6 +39,8 @@ RuntimeStats GoldenStats() {
   s.reorder_window = 64;
   s.reorder_late_dropped = 9;
   s.reorder_merged = 10;
+  s.cpt_entries = 70;
+  s.cpt_bytes = 71;
   s.class_counts = {{"Regular", 1}, {"Safe", 0}};
   s.class_latency = {{"Regular", Latency(41, 1)}};
   s.memo_entries = 11;
@@ -137,6 +139,7 @@ TEST(StatsExportTest, GoldenJson) {
       "\"last_ingest_error\":\"beyond \\\"window\\\"\","
       "\"reorder_depth\":8,\"reorder_window\":64,"
       "\"reorder_late_dropped\":9,\"reorder_merged\":10,"
+      "\"cpt_entries\":70,\"cpt_bytes\":71,"
       "\"windows_executed\":32,\"max_window_ticks\":16,\"steals\":33,"
       "\"split_placements\":34,\"rebalances\":35,\"plan_rebuilds\":36,"
       "\"window_size_hist\":[1,0,3],\"barrier_wait\":{\"count\":32,"
@@ -194,6 +197,7 @@ TEST(StatsExportTest, GoldenText) {
       "queue_closed_rejected=6 batches_applied=40 batches_rejected=7 "
       "last_ingest_error=beyond \"window\"\n"
       "  reorder: depth=8 window=64 late_dropped=9 merged=10\n"
+      "  cpt: entries=70 bytes=71\n"
       "  windows: executed=32 max_window_ticks=16 steals=33 "
       "split_placements=34 rebalances=35 plan_rebuilds=36 "
       "window_size_hist=[1 0 3]\n"

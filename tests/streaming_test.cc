@@ -179,6 +179,8 @@ TEST(PruneTest, DropsSmallEntriesAndStaysStochastic) {
   ASSERT_OK(s.PruneCpts(0.05, &before, &after));
   EXPECT_EQ(before, 10u);  // 5 nonzero entries per CPT
   EXPECT_EQ(after, 8u);    // the two 0.02 entries dropped
+  EXPECT_EQ(s.cpt_entries(), after);  // dropped entries are not stored
+  EXPECT_EQ(s.CptAt(1).Row(1).size(), 1u);
   EXPECT_NEAR(s.CptAt(1).At(1, 1), 1.0, 1e-12);  // renormalized
   for (Timestamp t = 1; t <= 3; ++t) {
     EXPECT_NEAR(Sum(s.MarginalAt(t)), 1.0, 1e-9);
