@@ -45,11 +45,6 @@ RUN_SIZE_FIELDS = {
     "chains", "sharing_groups", "shared_steps_saved", "sharing_ratio_64",
     "simd_chains", "striped", "bytes_per_chain", "kernel_simd_speedup",
     "bytes_per_chain_reduction",
-    "create_ms", "registered_keys", "resident_chains", "stub_chains",
-    "spilled_chains", "spills", "promotions", "rehydrations",
-    "bytes_resident", "bytes_per_registered_key", "resident_fraction",
-    "bytes_per_registered_key_ratio", "sparse_resident_fraction",
-    "dense_ticks_ratio",
 }
 
 

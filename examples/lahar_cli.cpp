@@ -10,8 +10,7 @@
 //                                   write a demo database. SCENARIO is
 //                                   "office" (default: 3 office workers) or
 //                                   "wide" (200-tag diurnal wide-floorplan
-//                                   population; see docs/PERF.md "Chain
-//                                   lifecycle")
+//                                   population)
 //   lahar_cli --serve [flags] DBFILE QUERY...
 //                                   replay DBFILE live through the
 //                                   concurrent runtime (docs/RUNTIME.md)
@@ -39,8 +38,6 @@
 //                                   the ticks it already consumed
 //   --threads N                     runtime worker threads (default
 //                                   hardware concurrency)
-//   --pin                           pin worker i to core i mod cores
-//                                   (Linux only; ignored elsewhere)
 //   --queue-capacity N              ingest queue depth in batches
 //                                   (default 256)
 //   --port N                        ingest over TCP instead of replaying
@@ -110,9 +107,8 @@ int Generate(const std::string& path, const std::string& kind) {
     scenario = OfficeScenario(3, 120, /*seed=*/7, config);
   } else if (kind == "wide") {
     // Diurnal wide-floorplan population: hundreds of registered tags, only
-    // a slice active per tick (the chain-lifecycle demo workload; try
-    // --serve with "At(x, l : CoffeeRoom(l))" and watch the memory line in
-    // the final stats).
+    // a slice active per tick (try --serve with "At(x, l : CoffeeRoom(l))"
+    // and watch the memory line in the final stats).
     scenario = WideFloorplanScenario(200, 120, /*seed=*/7, config);
     stream_kind = StreamKind::kDiurnal;
   } else {
@@ -533,8 +529,6 @@ int main(int argc, char** argv) {
       } else if (const char* v = flag_value("--threads")) {
         if (!examples::ParseUint("--threads", v, 0, 4096, &n)) return 2;
         config.runtime.num_threads = static_cast<size_t>(n);
-      } else if (std::strcmp(argv[i], "--pin") == 0) {
-        config.runtime.pin_threads = true;
       } else if (const char* v = flag_value("--queue-capacity")) {
         if (!examples::ParseUint("--queue-capacity", v, 1, UINT32_MAX, &n))
           return 2;
@@ -582,7 +576,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr,
                    "usage: %s --serve [--checkpoint-every N] "
                    "[--checkpoint-path FILE] [--restore FILE] "
-                   "[--threads N] [--pin] [--queue-capacity N] "
+                   "[--threads N] [--queue-capacity N] "
                    "[--port N [--host ADDR] [--max-connections N] "
                    "[--outbound-limit BYTES] [--quota-burst N] "
                    "[--quota-refill R]] DBFILE QUERY...\n",

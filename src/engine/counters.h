@@ -12,7 +12,7 @@
 namespace lahar {
 
 /// \brief Counters of one session. Sessions that lack a layer leave its
-/// counters at zero; counts of transitions are lifetime totals.
+/// counters at zero; step counts are lifetime totals.
 struct SessionCounters {
   // --- cross-query sharing and the SIMD kernel path -----------------------
   /// Units currently delegated to cross-query shared sub-chains
@@ -23,20 +23,13 @@ struct SessionCounters {
   /// Whole-stripe steps taken / stripes demoted to per-unit steps.
   /// Fallbacks are data-dependent and scheduler-independent: the executor
   /// aligns shard splits on stripe boundaries, so rebalances and steals
-  /// must not grow them (asserted by tests/chain_lifecycle_test.cc).
+  /// must not grow them (asserted by tests/chain_state_test.cc).
   uint64_t stripe_steps = 0;
   uint64_t stripe_fallbacks = 0;
-  // --- chain lifecycle (docs/PERF.md "Chain lifecycle") -------------------
-  /// Engine memory footprint in bytes (resident chains + stubs + spill
-  /// arena). Resident + stub + spilled units partition the session's
-  /// units; sessions without the lifecycle layer report all as resident.
+  // --- memory -------------------------------------------------------------
+  /// Chain memory footprint in bytes: the state arena, per-chain owned
+  /// heap and pooled transition rows (ExtendedRegularEngine::Footprint).
   size_t bytes_resident = 0;
-  size_t resident_units = 0;  ///< units holding a materialized chain
-  size_t stub_units = 0;      ///< lazy stubs never promoted (~16 B each)
-  size_t spilled_units = 0;   ///< cold chains in the spill arena
-  uint64_t promotions = 0;    ///< stub -> resident transitions
-  uint64_t spills = 0;        ///< resident -> spilled/stub transitions
-  uint64_t rehydrations = 0;  ///< spilled -> resident transitions
   // --- safe-plan caches (engine/safe_engine.h) ----------------------------
   size_t memo_entries = 0;      ///< live (ts, tf) interval memo entries
   uint64_t memo_hits = 0;       ///< interval memo hits
@@ -57,14 +50,8 @@ struct SessionCounters {
     v("stripe_fallbacks", &SessionCounters::stripe_fallbacks);
   }
   template <class V>
-  static void LifecycleFields(V&& v) {
+  static void MemoryFields(V&& v) {
     v("bytes_resident", &SessionCounters::bytes_resident);
-    v("resident_units", &SessionCounters::resident_units);
-    v("stub_units", &SessionCounters::stub_units);
-    v("spilled_units", &SessionCounters::spilled_units);
-    v("promotions", &SessionCounters::promotions);
-    v("spills", &SessionCounters::spills);
-    v("rehydrations", &SessionCounters::rehydrations);
   }
   template <class V>
   static void MemoFields(V&& v) {
@@ -79,7 +66,7 @@ struct SessionCounters {
   template <class V>
   static void Fields(V&& v) {
     KernelFields(v);
-    LifecycleFields(v);
+    MemoryFields(v);
     MemoFields(v);
   }
 

@@ -36,9 +36,7 @@ struct LaharOptions {
   PlanOptions plan;
   SamplingOptions sampling;
   /// Chain construction knobs for the Regular and Extended Regular
-  /// sessions, batch Run() included: kernel budgets, step mode, and the
-  /// chain lifecycle (lazy materialization / cold-chain spill; see
-  /// docs/PERF.md "Chain lifecycle").
+  /// sessions, batch Run() included: kernel budgets and step mode.
   ChainOptions chain;
   /// Fall back to sampling when an exact engine rejects the query (unsafe
   /// queries, or safe queries outside the implemented algebra). When false,

@@ -976,12 +976,6 @@ void RegularChain::BindArena(double* cur, double* nxt, size_t lane_stride) {
   lane_stride_ = lane_stride;
 }
 
-size_t ChainState::bytes() const {
-  return sizeof(ChainState) + markov_streams.capacity() * sizeof(StreamId) +
-         radices.capacity() * sizeof(uint64_t) +
-         entries.capacity() * sizeof(Entry);
-}
-
 void ChainState::Encode(const EventDatabase& db, serial::Writer* w) const {
   w->U32(t);
   w->U8(track ? 1 : 0);

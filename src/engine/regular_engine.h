@@ -61,21 +61,6 @@ struct ChainOptions {
   KernelLimits kernel;
   /// Step-path selection for compiled chains.
   KernelStepMode step_mode = KernelStepMode::kAuto;
-
-  // --- chain lifecycle (extended engine only; docs/PERF.md) ---------------
-  /// Keep a registered binding as a ~16-byte closed-form stub until a
-  /// participating stream first shows evidence (nonzero-symbol mass), then
-  /// materialize the real chain. Bit-identical to always-materialized by
-  /// construction: the skipped prefix is the deterministic all-bottom
-  /// trajectory whose probabilities stay exactly 1.0.
-  bool lazy_materialize = false;
-  /// Spill chains that idled `cold_after_ticks` ticks in a frozen
-  /// (absorbing under empty input) state into a compact side arena of
-  /// exported ChainState values; rehydrate transparently on next evidence.
-  bool spill_cold_chains = false;
-  /// Idle ticks (no participating-stream evidence) before a frozen chain
-  /// is eligible to spill.
-  uint32_t cold_after_ticks = 64;
 };
 
 /// Shared structures a chain build borrows, all optional. The engines pass
@@ -117,9 +102,6 @@ struct ChainState {
   std::vector<StreamId> markov_streams;  ///< per hidden slot
   std::vector<uint64_t> radices;         ///< per hidden slot
   std::vector<Entry> entries;            ///< ascending (mask, hidden)
-
-  /// Inline + heap bytes (the spill arena's accounting).
-  size_t bytes() const;
 
   /// Writes the encoding, hidden codes as per-slot digits derived against
   /// the streams' *current* domain sizes.

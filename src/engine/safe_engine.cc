@@ -829,7 +829,6 @@ size_t SafePlanEngine::UnitCost(size_t unit) const {
 SessionCounters SafePlanEngine::Counters() const {
   SessionCounters out;
   root_->AddMemoStats(&out);
-  out.resident_units = num_units();
   return out;
 }
 

@@ -149,13 +149,8 @@ class QuerySession {
   /// unit is its own group.
   virtual size_t UnitGroupEnd(size_t i) const { return i + 1; }
 
-  /// Stats-only counters (see engine/counters.h). Default: every unit
-  /// resident, every other counter zero.
-  virtual SessionCounters Counters() const {
-    SessionCounters c;
-    c.resident_units = num_units();
-    return c;
-  }
+  /// Stats-only counters (see engine/counters.h). Default: all zero.
+  virtual SessionCounters Counters() const { return {}; }
 
   /// Total per-tick cost estimate: sum of UnitCost over all units.
   size_t StepCost() const;

@@ -124,13 +124,6 @@ Status WriteDatabaseToFile(const EventDatabase& db, const std::string& path) {
 
 namespace {
 
-// Incremental reader state for the stream being parsed.
-struct PendingStream {
-  std::unique_ptr<Stream> stream;
-  bool has_key = false;
-  Timestamp horizon = 0;
-};
-
 // Non-throwing numeric parsing: the reader must reject malformed input with
 // a Status, never an exception.
 Result<size_t> ParseIndex(const std::string& token) {
@@ -180,7 +173,11 @@ Result<std::unique_ptr<EventDatabase>> ReadDatabase(std::istream* in) {
   std::vector<ValueTuple> pending_domain;
   std::vector<std::pair<Timestamp, std::vector<double>>> pending_marginals;
   std::vector<double> pending_initial;
-  std::vector<std::pair<Timestamp, Matrix>> pending_cpts;
+  // Each cpt line is kept as its CSR slice, so one dense D x D table
+  // exists at a time. The stream takes the tables only at its end, because
+  // SetCpt checks them against the final domain, which later domain lines
+  // may still grow; a slice re-expands to the exact table it came from.
+  std::vector<std::pair<Timestamp, CptSlice>> pending_cpts;
   bool in_stream = false;
 
   auto err = [&](const std::string& msg) {
@@ -207,8 +204,8 @@ Result<std::unique_ptr<EventDatabase>> ReadDatabase(std::istream* in) {
       }
     } else {
       LAHAR_RETURN_NOT_OK(stream.SetInitial(pending_initial));
-      for (auto& [t, cpt] : pending_cpts) {
-        LAHAR_RETURN_NOT_OK(stream.SetCpt(t, std::move(cpt)));
+      for (const auto& [t, slice] : pending_cpts) {
+        LAHAR_RETURN_NOT_OK(stream.SetCpt(t, slice.view().ToDense()));
       }
       LAHAR_RETURN_NOT_OK(stream.FinalizeMarkov());
     }
@@ -342,7 +339,8 @@ Result<std::unique_ptr<EventDatabase>> ReadDatabase(std::istream* in) {
         LAHAR_ASSIGN_OR_RETURN(cpt.At(from, to),
                                ParseProb(token.substr(c2 + 1)));
       }
-      pending_cpts.emplace_back(t, std::move(cpt));
+      // Independent streams parse and then ignore cpt lines.
+      if (pending_markov) pending_cpts.emplace_back(t, CptSlice(cpt));
     } else {
       return err("unknown directive '" + directive + "'");
     }

@@ -4,11 +4,6 @@
 #include <chrono>
 #include <numeric>
 
-#ifdef __linux__
-#include <pthread.h>
-#include <sched.h>
-#endif
-
 namespace lahar {
 namespace {
 
@@ -48,20 +43,6 @@ size_t WindowBucket(size_t w) {
     ++b;
   }
   return b;
-}
-
-void PinToCore(std::thread& t, size_t core) {
-#ifdef __linux__
-  const unsigned ncpu = std::max(1u, std::thread::hardware_concurrency());
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<int>(core % ncpu), &set);
-  // Best effort: a restricted cpuset just leaves the thread unpinned.
-  (void)pthread_setaffinity_np(t.native_handle(), sizeof(set), &set);
-#else
-  (void)t;
-  (void)core;
-#endif
 }
 
 }  // namespace
@@ -141,7 +122,6 @@ void StreamRuntime::Start() {
   if (num_threads_ > 1) {
     for (size_t i = 0; i < num_threads_; ++i) {
       shards_.emplace_back([this, i] { ShardLoop(i); });
-      if (options_.pin_threads) PinToCore(shards_.back(), i);
     }
   }
   coordinator_ = std::thread([this] { CoordinatorLoop(); });

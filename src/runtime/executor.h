@@ -98,10 +98,6 @@ struct RuntimeOptions {
   /// per-tick barriers; 0 is treated as 1. Results are bit-identical for
   /// every value — only latency and throughput change.
   size_t max_window_ticks = 16;
-  /// Pin worker thread i to core i modulo the core count (Linux only;
-  /// silently ignored elsewhere). Helps steady-state serving at high
-  /// thread counts; leave off when sharing the machine.
-  bool pin_threads = false;
   /// Session routing options (safe-plan compilation, sampling parameters,
   /// and whether Safe/Unsafe queries may fall back to sampling).
   LaharOptions session;

@@ -73,7 +73,7 @@ class LatencyRecorder {
 };
 
 /// \brief Per-query counters, snapshot at Stats() time. The session's own
-/// counters (sharing, SIMD kernel, chain lifecycle, safe-plan caches) are
+/// counters (sharing, SIMD kernel, memory, safe-plan caches) are
 /// the SessionCounters base.
 struct QueryStats : SessionCounters {
   QueryId id = 0;
@@ -112,8 +112,8 @@ struct QueryStats : SessionCounters {
     v("kernel_misses", &QueryStats::kernel_misses);
     v.Section("sharing");
     KernelFields(v);
-    v.Section("lifecycle");
-    LifecycleFields(v);
+    v.Section("memory");
+    MemoryFields(v);
     v.Section(nullptr);
     v("text", &QueryStats::text);
     v("last_error", &QueryStats::last_error);
@@ -304,8 +304,8 @@ struct RuntimeStats : SessionCounters {
     v("classes", &RuntimeStats::class_counts);
     v.Section("safe");
     MemoFields(v);
-    v.Section("lifecycle");
-    LifecycleFields(v);
+    v.Section("memory");
+    MemoryFields(v);
     v.Section("sharing");
     v("sharing_groups", &RuntimeStats::sharing_groups);
     v("shared_steps_executed", &RuntimeStats::shared_steps_executed);

@@ -61,8 +61,7 @@ Result<Scenario> RoomOccupancyScenario(Timestamp horizon, uint64_t seed,
 /// diurnal activity: each tag random-walks the floorplan but its stream is
 /// only "live" inside a staggered ~1/8-horizon window (all-bottom / quiet
 /// outside, via StreamKind::kDiurnal). At any tick only a small slice of the
-/// registered tags is active — the residency workload the chain lifecycle
-/// (docs/PERF.md "Chain lifecycle") is benchmarked against in bench_t10.
+/// registered tags is active.
 Result<Scenario> WideFloorplanScenario(size_t num_tags, Timestamp horizon,
                                        uint64_t seed,
                                        PipelineConfig config = {});

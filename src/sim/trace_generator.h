@@ -79,7 +79,7 @@ class TracePipeline {
   /// marginals are filtered inside [active_from, active_to] and all-bottom
   /// (tag certainly absent — a quiet tick for the engines) outside it. The
   /// diurnal shape of a badge that is only in the building part of the day;
-  /// the wide-floorplan residency workload (bench_t10) is built from these.
+  /// WideFloorplanScenario is built from these.
   Result<StreamId> AddDiurnalStream(EventDatabase* db, const TagTrace& tag,
                                     Timestamp active_from,
                                     Timestamp active_to) const;

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "common/serial.h"
 #include "engine/lahar.h"
 #include "model/io.h"
 #include "test_util.h"
@@ -117,6 +120,73 @@ TEST(IoTest, RejectsMalformedInput) {
     auto db = ReadDatabase(&ss);
     EXPECT_FALSE(db.ok()) << "should reject: " << text;
   }
+}
+
+// A Markov stream At('Sue') over {a, b} with horizon 4 whose cpt lines
+// appear in `cpt_order`, with `extra` appended after the last cpt line.
+// Line 4 is a second, different table for tick 3.
+std::string MarkovText(const std::vector<int>& cpt_order,
+                       const std::string& extra = "") {
+  const char* cpts[] = {"", "cpt 1 0:0:1 1:1:0.5 1:2:0.5 2:2:1\n",
+                        "cpt 2 0:1:0.25 0:0:0.75 1:1:1 2:0:1\n",
+                        "cpt 3 0:0:1 1:2:1 2:1:1\n",
+                        "cpt 3 0:0:1 1:1:1 2:2:1\n"};
+  std::string text =
+      "lahar-db 1\nschema At 1 tag location\n"
+      "stream At markov 4\nkey Sue\ndomain a b\ninitial 0:0.5 1:0.5\n";
+  for (int t : cpt_order) text += cpts[t];
+  return text + extra;
+}
+
+// The binary snapshot of the database `text` parses to (checkpoints write
+// it); empty when the text is refused.
+std::string SnapshotOf(const std::string& text) {
+  std::stringstream ss(text);
+  auto db = ReadDatabase(&ss);
+  if (!db.ok()) return "";
+  serial::Writer w;
+  if (!(*db)->SaveTo(&w).ok()) return "";
+  return w.str();
+}
+
+TEST(IoTest, CptLinesOutOfTickOrderReadAsInOrder) {
+  const std::string in_order = SnapshotOf(MarkovText({1, 2, 3}));
+  ASSERT_FALSE(in_order.empty());
+  EXPECT_EQ(SnapshotOf(MarkovText({3, 1, 2})), in_order);
+  EXPECT_EQ(SnapshotOf(MarkovText({2, 3, 1})), in_order);
+  // A repeated tick keeps its last line; a missing tick is refused.
+  EXPECT_EQ(SnapshotOf(MarkovText({4, 2, 1, 3})), in_order);
+  const std::string other = SnapshotOf(MarkovText({3, 2, 1, 4}));
+  EXPECT_FALSE(other.empty());
+  EXPECT_NE(other, in_order);
+  EXPECT_EQ(SnapshotOf(MarkovText({1, 3})), "");
+}
+
+TEST(IoTest, DomainLineAfterCptLineIsCheckedAgainstTheFinalDomain) {
+  const std::string plain = SnapshotOf(MarkovText({1, 2, 3}));
+  ASSERT_FALSE(plain.empty());
+  // An empty domain line adds nothing; the cpt lines still fit.
+  EXPECT_EQ(SnapshotOf(MarkovText({1, 2, 3}, "domain\n")), plain);
+  // A new value after the cpt lines leaves them narrower than the domain.
+  EXPECT_EQ(SnapshotOf(MarkovText({1, 2, 3}, "domain c\n")), "");
+}
+
+TEST(IoTest, StreamEndingWithCptLineKeepsIt) {
+  // The last line of the first stream, and of the file, is a cpt line.
+  const std::string two = MarkovText(
+      {1, 2, 3},
+      "stream At markov 2\nkey Joe\ndomain a\ninitial 1:1\n"
+      "cpt 1 0:0:1 1:0:0.5 1:1:0.5\n");
+  std::stringstream ss(two);
+  auto db = ReadDatabase(&ss);
+  ASSERT_OK(db.status());
+  ASSERT_EQ((*db)->num_streams(), 2u);
+  EXPECT_EQ((*db)->stream(0).CptAt(3).At(2, 1), 1.0);
+  const Stream& joe = (*db)->stream(1);
+  EXPECT_EQ(joe.CptAt(1).At(1, 0), 0.5);
+  EXPECT_EQ(joe.ProbAt(2, kBottom), 0.5);
+  // Without its last cpt line the stream is incomplete and refused.
+  EXPECT_EQ(SnapshotOf(MarkovText({1, 2})), "");
 }
 
 TEST(IoTest, FileHelpersReportMissingPaths) {

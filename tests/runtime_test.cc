@@ -731,7 +731,6 @@ TEST(StreamRuntimeTest, QuerySnapshotMatchesItsStatsEntry) {
   EXPECT_EQ(one->advance.count, entry.advance.count);
   EXPECT_EQ(one->simd_units, entry.simd_units);
   EXPECT_EQ(one->bytes_resident, entry.bytes_resident);
-  EXPECT_EQ(one->resident_units, entry.resident_units);
   // The runtime totals are the field-wise sums of the per-query entries.
   EXPECT_EQ(all.simd_units,
             all.queries[0].simd_units + all.queries[1].simd_units);

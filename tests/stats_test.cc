@@ -59,12 +59,6 @@ RuntimeStats GoldenStats() {
   s.stripe_steps = 23;
   s.stripe_fallbacks = 24;
   s.bytes_resident = 25;
-  s.resident_units = 26;
-  s.stub_units = 27;
-  s.spilled_units = 28;
-  s.promotions = 29;
-  s.spills = 30;
-  s.rehydrations = 31;
   s.tick_latency = Latency(41, 10);
   s.windows_executed = 32;
   s.max_window_ticks = 16;
@@ -114,12 +108,6 @@ RuntimeStats GoldenStats() {
   q.stripe_steps = 59;
   q.stripe_fallbacks = 60;
   q.bytes_resident = 61;
-  q.resident_units = 62;
-  q.stub_units = 63;
-  q.spilled_units = 64;
-  q.promotions = 65;
-  q.spills = 66;
-  q.rehydrations = 67;
   s.queries.push_back(q);
   ShardStats shard;
   shard.shard = 1;
@@ -149,8 +137,6 @@ TEST(StatsExportTest, GoldenJson) {
       "\"safe_memo_misses\":0,\"safe_memo_evictions\":12,"
       "\"safe_rows_live\":13,\"safe_row_evictions\":14,"
       "\"safe_row_rebuilds\":0,\"bytes_resident\":25,"
-      "\"resident_units\":26,\"stub_units\":27,\"spilled_units\":28,"
-      "\"promotions\":29,\"spills\":30,\"rehydrations\":31,"
       "\"sharing_groups\":15,\"shared_steps_executed\":16,"
       "\"shared_steps_saved\":17,\"prepared_dedup_hits\":18,"
       "\"kernel_cache_hits\":19,\"kernel_cache_misses\":20,"
@@ -170,8 +156,6 @@ TEST(StatsExportTest, GoldenJson) {
       "\"errors\":1,\"kernel_hits\":55,\"kernel_misses\":56,"
       "\"shared_units\":57,\"simd_units\":58,\"stripe_steps\":59,"
       "\"stripe_fallbacks\":60,\"bytes_resident\":61,"
-      "\"resident_units\":62,\"stub_units\":63,\"spilled_units\":64,"
-      "\"promotions\":65,\"spills\":66,\"rehydrations\":67,"
       "\"text\":\"At('Joe', l : l = \\\"x\\\")\",\"last_error\":\"boom\","
       "\"safe_memo_entries\":48,\"safe_memo_hits\":49,"
       "\"safe_memo_misses\":50,\"safe_memo_evictions\":51,"
@@ -206,8 +190,7 @@ TEST(StatsExportTest, GoldenText) {
       "  classes: Regular=1 Safe=0\n"
       "  safe: memo_entries=11 memo_hits=0 memo_misses=0 "
       "memo_evictions=12 rows_live=13 row_evictions=14 row_rebuilds=0\n"
-      "  lifecycle: bytes_resident=25 resident_units=26 stub_units=27 "
-      "spilled_units=28 promotions=29 spills=30 rehydrations=31\n"
+      "  memory: bytes_resident=25\n"
       "  sharing: groups=15 shared_steps_executed=16 "
       "shared_steps_saved=17 prepared_dedup_hits=18 kernel_cache_hits=19 "
       "kernel_cache_misses=20 kernel_cache_entries=21 shared_units=0 "
@@ -225,8 +208,7 @@ TEST(StatsExportTest, GoldenText) {
       "text=At('Joe', l : l = \"x\") last_error=boom\n"
       "    sharing: shared_units=57 simd_units=58 stripe_steps=59 "
       "stripe_fallbacks=60\n"
-      "    lifecycle: bytes_resident=61 resident_units=62 stub_units=63 "
-      "spilled_units=64 promotions=65 spills=66 rehydrations=67\n"
+      "    memory: bytes_resident=61\n"
       "    safe: memo_entries=48 memo_hits=49 memo_misses=50 "
       "memo_evictions=51 rows_live=52 row_evictions=53 row_rebuilds=54\n"
       "    advance: count=41 min_us=2.000 mean_us=2.500 p50_us=2.250 "
@@ -258,13 +240,13 @@ TEST(StatsExportTest, SessionCountersSumFieldWise) {
   SessionCounters a;
   a.simd_units = 2;
   a.memo_hits = 5;
-  a.rehydrations = 1;
+  a.row_rebuilds = 1;
   SessionCounters b = a;
   b.stripe_fallbacks = 3;
   a += b;
   EXPECT_EQ(a.simd_units, 4u);
   EXPECT_EQ(a.memo_hits, 10u);
-  EXPECT_EQ(a.rehydrations, 2u);
+  EXPECT_EQ(a.row_rebuilds, 2u);
   EXPECT_EQ(a.stripe_fallbacks, 3u);
   EXPECT_EQ(a.bytes_resident, 0u);
 }
