@@ -19,6 +19,13 @@
 //                       only) — same machine, same process, adjacent
 //                       cells, so it certifies "sharing pays" without any
 //                       cross-machine calibration.
+//   register_adopt_speedup
+//                       registration time unshared / shared for one
+//                       alpha-variant of a live twin over a loaded history
+//                       of kRegisterHistory ticks: shared mode adopts the
+//                       twin's units, unshared mode replays the history.
+//                       The cell cross-checks the newcomer's published
+//                       values bitwise too.
 #include <cstring>
 #include <string>
 #include <vector>
@@ -136,6 +143,85 @@ bool RunCell(const EventDatabase& archive,
   return true;
 }
 
+// Registration cell: a twin (an Extended query over every tag) is live
+// over kRegisterHistory loaded ticks when one alpha-variant of it
+// registers; the newcomer then runs kRegisterTail more ticks.
+constexpr Timestamp kRegisterHistory = 2000;
+constexpr Timestamp kRegisterTail = 20;
+constexpr const char* kRegisterTwin =
+    "At(x, l1 : NotRoom(l1)); At(x, l2 : Room(l2))";
+constexpr const char* kRegisterVariant =
+    "At(p, m1 : NotRoom(m1)); At(p, m2 : Room(m2))";
+
+struct RegisterResult {
+  double register_ms = 0;
+  std::vector<double> probs;  // the newcomer's published values
+  uint64_t adopted = 0;
+};
+
+// Best of kReps fresh runtimes: time to register the variant while the
+// twin is live at tick kRegisterHistory.
+bool RunRegisterCell(const EventDatabase& archive,
+                     const std::vector<TickBatch>& batches, bool sharing,
+                     RegisterResult* out) {
+  const Timestamp horizon = kRegisterHistory + kRegisterTail;
+  for (size_t rep = 0; rep < kReps; ++rep) {
+    auto live = CloneDeclarations(archive);
+    if (!live.ok()) {
+      std::fprintf(stderr, "%s\n", live.status().ToString().c_str());
+      return false;
+    }
+    RuntimeOptions options;
+    options.num_threads = 2;
+    options.queue_capacity = batches.size();  // preload everything
+    options.sharing.enabled = sharing;
+    StreamRuntime runtime(live->get(), options);
+    if (!runtime.Register(kRegisterTwin).ok()) return false;
+    for (Timestamp t = 0; t < kRegisterHistory; ++t) {
+      if (!runtime.ingest().TryPush(batches[t])) return false;
+    }
+    runtime.Start();
+    if (!runtime.WaitForTick(kRegisterHistory,
+                             std::chrono::milliseconds(600000))) {
+      std::fprintf(stderr, "history did not load\n");
+      return false;
+    }
+    Result<QueryId> id = Status::Internal("not registered");
+    const double ms = TimeMs([&] { id = runtime.Register(kRegisterVariant); });
+    if (!id.ok()) {
+      std::fprintf(stderr, "%s\n", id.status().ToString().c_str());
+      return false;
+    }
+    std::vector<double> probs;
+    runtime.SetTickCallback([&](const TickResult& r) {
+      if (const double* p = r.Find(*id)) probs.push_back(*p);
+    });
+    for (Timestamp t = kRegisterHistory; t < horizon; ++t) {
+      if (!runtime.ingest().TryPush(batches[t])) return false;
+    }
+    runtime.WaitForTick(horizon, std::chrono::milliseconds(600000));
+    runtime.Stop();
+    if (probs.size() != kRegisterTail) {
+      std::fprintf(stderr, "newcomer published %zu of %u ticks\n",
+                   probs.size(), kRegisterTail);
+      return false;
+    }
+    if (rep == 0 || ms < out->register_ms) out->register_ms = ms;
+    out->probs = std::move(probs);
+    out->adopted = runtime.Stats().registrations_adopted;
+  }
+  JsonLine()
+      .Add("bench", std::string("t09_query_sharing"))
+      .Add("cell", std::string("register"))
+      .Add("mode", std::string(sharing ? "shared" : "unshared"))
+      .Add("history", static_cast<size_t>(kRegisterHistory))
+      .Add("reps", kReps)
+      .Add("register_ms", out->register_ms)
+      .Add("registrations_adopted", static_cast<size_t>(out->adopted))
+      .Print();
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -215,14 +301,59 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(
                     shared.stats.shared_steps_saved));
   }
-  // Derived metric on its own record (keyed by bench only): the perf gate
-  // floors it with --min-metric sharing_ratio_64:... — a collapse to
-  // linear-in-K cost (ratio ~1/64) trips the gate.
+  // Registration cell: adoption (shared) against replay (unshared).
+  auto register_scenario = RandomWalkScenario(
+      kTags, kRegisterHistory + kRegisterTail, /*seed=*/43);
+  if (!register_scenario.ok()) {
+    std::fprintf(stderr, "%s\n",
+                 register_scenario.status().ToString().c_str());
+    return 1;
+  }
+  auto register_archive =
+      register_scenario->BuildDatabase(StreamKind::kExactFiltered);
+  if (!register_archive.ok()) {
+    std::fprintf(stderr, "%s\n",
+                 register_archive.status().ToString().c_str());
+    return 1;
+  }
+  auto register_batches = ExtractBatches(**register_archive);
+  if (!register_batches.ok()) {
+    std::fprintf(stderr, "%s\n",
+                 register_batches.status().ToString().c_str());
+    return 1;
+  }
+  RegisterResult adopt, replay;
+  if (!RunRegisterCell(**register_archive, *register_batches,
+                       /*sharing=*/true, &adopt) ||
+      !RunRegisterCell(**register_archive, *register_batches,
+                       /*sharing=*/false, &replay)) {
+    return 1;
+  }
+  if (adopt.probs != replay.probs) {
+    std::fprintf(stderr, "MISMATCH: the adopted newcomer's values differ "
+                         "from the replayed newcomer's\n");
+    return 1;
+  }
+  if (adopt.adopted != 1 || replay.adopted != 0) {
+    std::fprintf(stderr, "expected one adoption in shared mode only, got "
+                         "%llu shared and %llu unshared\n",
+                 static_cast<unsigned long long>(adopt.adopted),
+                 static_cast<unsigned long long>(replay.adopted));
+    return 1;
+  }
+  const double register_speedup =
+      adopt.register_ms > 0 ? replay.register_ms / adopt.register_ms : 0.0;
+
+  // Derived metrics on their own record (keyed by bench only): the perf
+  // gate floors them with --min-metric — a collapse to linear-in-K cost
+  // (sharing_ratio_64 ~1/64) or registration replaying the history
+  // (register_adopt_speedup ~1) trips the gate.
   const double ratio = tps_at_1 > 0 ? tps_at_64 / tps_at_1 : 0.0;
   JsonLine line;
   line.Add("bench", std::string("t09_query_sharing_summary"))
       .Add("sharing_ratio_64", ratio);
   if (speedup_256 > 0) line.Add("sharing_speedup_256", speedup_256);
+  line.Add("register_adopt_speedup", register_speedup);
   line.Print();
   std::printf("\nsharing_ratio_64 = %.3f (ticks/sec at K=64 relative to "
               "K=1, shared mode)\n",
@@ -232,5 +363,10 @@ int main(int argc, char** argv) {
                 "at K=256)\n",
                 speedup_256);
   }
+  std::printf("register_adopt_speedup = %.2fx (registering a twin's "
+              "alpha-variant over %u ticks: %.3f ms replayed, %.3f ms "
+              "adopted)\n",
+              register_speedup, kRegisterHistory, replay.register_ms,
+              adopt.register_ms);
   return 0;
 }

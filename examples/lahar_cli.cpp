@@ -6,11 +6,8 @@
 //                                   print each query's plan before/after the
 //                                   canonicalizing rewrite and the sharing
 //                                   groups the queries form (docs/SHARING.md)
-//   lahar_cli --gen DBFILE [SCENARIO]
-//                                   write a demo database. SCENARIO is
-//                                   "office" (default: 3 office workers) or
-//                                   "wide" (200-tag diurnal wide-floorplan
-//                                   population)
+//   lahar_cli --gen DBFILE          write a demo database (3 office
+//                                   workers)
 //   lahar_cli --serve [flags] DBFILE QUERY...
 //                                   replay DBFILE live through the
 //                                   concurrent runtime (docs/RUNTIME.md)
@@ -97,30 +94,16 @@ volatile std::sig_atomic_t g_signal = 0;
 
 void OnSignal(int) { g_signal = 1; }
 
-int Generate(const std::string& path, const std::string& kind) {
+int Generate(const std::string& path) {
   PipelineConfig config;
   config.read_rate = 0.6;
   config.coffee_bias = 3.0;
-  Result<Scenario> scenario = Status::InvalidArgument("unknown scenario");
-  StreamKind stream_kind = StreamKind::kFiltered;
-  if (kind.empty() || kind == "office") {
-    scenario = OfficeScenario(3, 120, /*seed=*/7, config);
-  } else if (kind == "wide") {
-    // Diurnal wide-floorplan population: hundreds of registered tags, only
-    // a slice active per tick (try --serve with "At(x, l : CoffeeRoom(l))"
-    // and watch the memory line in the final stats).
-    scenario = WideFloorplanScenario(200, 120, /*seed=*/7, config);
-    stream_kind = StreamKind::kDiurnal;
-  } else {
-    std::fprintf(stderr, "unknown scenario %s (try office, wide)\n",
-                 kind.c_str());
-    return 2;
-  }
+  Result<Scenario> scenario = OfficeScenario(3, 120, /*seed=*/7, config);
   if (!scenario.ok()) {
     std::fprintf(stderr, "%s\n", scenario.status().ToString().c_str());
     return 1;
   }
-  auto db = scenario->BuildDatabase(stream_kind);
+  auto db = scenario->BuildDatabase(StreamKind::kFiltered);
   if (!db.ok()) {
     std::fprintf(stderr, "%s\n", db.status().ToString().c_str());
     return 1;
@@ -497,8 +480,8 @@ int Connect(const std::string& endpoint, const std::string& tenant,
 }  // namespace
 
 int main(int argc, char** argv) {
-  if ((argc == 3 || argc == 4) && std::strcmp(argv[1], "--gen") == 0) {
-    return Generate(argv[2], argc == 4 ? argv[3] : "");
+  if (argc == 3 && std::strcmp(argv[1], "--gen") == 0) {
+    return Generate(argv[2]);
   }
   bool serve = argc >= 2 && std::strcmp(argv[1], "--serve") == 0;
   if (serve) {

@@ -177,6 +177,28 @@ bool ExtendedRegularEngine::DelegateUnit(
   return true;
 }
 
+bool ExtendedRegularEngine::AdoptUnits(
+    const std::vector<std::shared_ptr<SharedSubChain>>& units,
+    Timestamp tick) {
+  if (t_ != 0 || tick == 0 || num_delegated_ != 0 ||
+      units.size() != chains_.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < units.size(); ++i) {
+    if (units[i] == nullptr || !units[i]->status().ok() ||
+        units[i]->time() != tick) {
+      return false;
+    }
+  }
+  delegates_ = units;
+  num_delegated_ = units.size();
+  t_ = tick;
+  for (size_t i = 0; i < units.size(); ++i) {
+    chain_probs_[i] = units[i]->ProbAt(tick);
+  }
+  return true;
+}
+
 SessionCounters ExtendedRegularEngine::Counters() const {
   SessionCounters c;
   c.shared_units = num_delegated_;

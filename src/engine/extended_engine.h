@@ -94,6 +94,14 @@ class ExtendedRegularEngine : public QuerySession {
   /// shared state back.
   bool DelegateUnit(size_t i,
                     const std::shared_ptr<SharedSubChain>& unit) override;
+  /// Joins one unit per chain at `tick` without stepping: every chain is
+  /// delegated, the clock jumps to `tick` and each chain probability is
+  /// its unit's ProbAt(tick) — the state a replay to `tick` would hold,
+  /// since equal canonical keys step to equal doubles. The private chains
+  /// stay at time 0 and are never stepped while delegated; undelegation
+  /// copies the unit's chain back as usual.
+  bool AdoptUnits(const std::vector<std::shared_ptr<SharedSubChain>>& units,
+                  Timestamp tick) override;
 
   // --- diagnostics ---------------------------------------------------------
   /// Per-grounding probabilities at the current time (diagnostics).
@@ -101,7 +109,8 @@ class ExtendedRegularEngine : public QuerySession {
   /// The grounding behind chain i.
   const Binding& binding(size_t i) const { return bindings_[i]; }
   /// The live chain of grounding i (for seeding shared units; when the
-  /// chain is delegated this is its frozen pre-delegation state).
+  /// chain is delegated this is its frozen pre-delegation state, or its
+  /// time-0 state after AdoptUnits).
   const RegularChain& chain(size_t i) const { return chains_[i]; }
 
   /// First error latched by any chain (e.g. a failed symbol-table refresh

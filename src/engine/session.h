@@ -246,6 +246,19 @@ class QuerySession {
     return false;
   }
 
+  /// Catch-up by adoption: a fresh session (time() == 0) delegates every
+  /// unit i to `units[i]`, all live at `tick`, and takes their state at
+  /// `tick` as its own instead of replaying timesteps 1..tick. All or
+  /// nothing: returns false and leaves the session untouched unless every
+  /// unit can be delegated. Default: refused (the caller replays).
+  virtual bool AdoptUnits(
+      const std::vector<std::shared_ptr<SharedSubChain>>& units,
+      Timestamp tick) {
+    (void)units;
+    (void)tick;
+    return false;
+  }
+
  protected:
   QuerySession(QueryClass query_class, EngineKind engine_kind, bool exact)
       : query_class_(query_class), engine_kind_(engine_kind), exact_(exact) {}

@@ -298,6 +298,7 @@ Result<std::unique_ptr<EventDatabase>> ReadDatabase(std::istream* in) {
       }
     } else if (directive == "marginal") {
       if (!in_stream) return err("marginal outside a stream");
+      if (pending_markov) return err("marginal line inside a markov stream");
       Timestamp t = 0;
       if (!(ss >> t)) return err("bad marginal line");
       std::vector<double> dist(pending_domain.size() + 1, 0.0);
@@ -310,6 +311,9 @@ Result<std::unique_ptr<EventDatabase>> ReadDatabase(std::istream* in) {
       pending_marginals.emplace_back(t, std::move(dist));
     } else if (directive == "initial") {
       if (!in_stream) return err("initial outside a stream");
+      if (!pending_markov) {
+        return err("initial line inside an independent stream");
+      }
       pending_initial.assign(pending_domain.size() + 1, 0.0);
       std::string token;
       while (ss >> token) {
@@ -321,6 +325,7 @@ Result<std::unique_ptr<EventDatabase>> ReadDatabase(std::istream* in) {
       }
     } else if (directive == "cpt") {
       if (!in_stream) return err("cpt outside a stream");
+      if (!pending_markov) return err("cpt line inside an independent stream");
       Timestamp t = 0;
       if (!(ss >> t)) return err("bad cpt line");
       const size_t D = pending_domain.size() + 1;
@@ -339,8 +344,7 @@ Result<std::unique_ptr<EventDatabase>> ReadDatabase(std::istream* in) {
         LAHAR_ASSIGN_OR_RETURN(cpt.At(from, to),
                                ParseProb(token.substr(c2 + 1)));
       }
-      // Independent streams parse and then ignore cpt lines.
-      if (pending_markov) pending_cpts.emplace_back(t, CptSlice(cpt));
+      pending_cpts.emplace_back(t, CptSlice(cpt));
     } else {
       return err("unknown directive '" + directive + "'");
     }

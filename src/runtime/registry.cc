@@ -77,12 +77,17 @@ Result<std::unique_ptr<StandingQuery>> QueryRegistry::BuildQuery(
           std::to_string(q->session->time()) + ", checkpoint tick is " +
           std::to_string(tick));
     }
+  } else if (AdoptTwins(q.get(), tick)) {
+    ++registrations_adopted_;
+    return q;  // already pooled, delegated to its twins' units
   } else {
     // Catch up to the runtime's clock: the database already stores
     // timesteps 1..tick. Exact sessions replay them tick by tick; sampling
     // sessions draw the same worlds in one pass.
     LAHAR_RETURN_NOT_OK(q->session->RunToHorizon(tick).status());
+    ++registrations_replayed_;
   }
+  AttachSharing(q.get());
   return q;
 }
 
@@ -118,11 +123,10 @@ Status QueryRegistry::RestoreQuery(QueryId id, std::string_view text,
 }
 
 QueryId QueryRegistry::Add(std::unique_ptr<StandingQuery> q) {
-  StandingQuery* raw = q.get();
+  const QueryId id = q->id;
   queries_.push_back(std::move(q));
-  AttachSharing(raw);
   ++version_;
-  return raw->id;
+  return id;
 }
 
 Status QueryRegistry::Unregister(QueryId id) {
@@ -146,6 +150,57 @@ void QueryRegistry::ReleasePreparedPlan(const StandingQuery& q) {
   if (it == prepared_cache_.end()) return;
   if (it->second.refs > 0) --it->second.refs;
   if (it->second.refs == 0) prepared_cache_.erase(it);
+}
+
+bool QueryRegistry::AdoptTwins(StandingQuery* q, Timestamp tick) {
+  QuerySession* s = q->session.get();
+  const size_t n = s->NumShareableUnits();
+  if (!sharing_.enabled || tick == 0 || n == 0 || n != s->num_units()) {
+    return false;
+  }
+  // Every unit needs a twin live at `tick`: the pool's unit, or a unit
+  // seeded from the pool's one caught-up member (materialized below only
+  // if the whole adoption goes through). Nothing is mutated until then.
+  std::vector<std::string> keys(n);
+  std::vector<std::shared_ptr<SharedSubChain>> units(n);
+  std::unordered_map<std::string, std::shared_ptr<SharedSubChain>> seeded;
+  for (size_t i = 0; i < n; ++i) {
+    keys[i] = s->ShareableUnitKey(i);
+    auto it = sharing_pool_.find(keys[i]);
+    if (keys[i].empty() || it == sharing_pool_.end()) return false;
+    const UnitPool& pool = it->second;
+    if (pool.unit != nullptr) {
+      units[i] = pool.unit;
+    } else if (pool.members.size() == 1) {
+      std::shared_ptr<SharedSubChain>& unit = seeded[keys[i]];
+      if (unit == nullptr) {
+        const UnitMember& m = pool.members.front();
+        if (m.query->session->time() != tick) return false;
+        unit = m.query->session->MakeSharedUnit(m.unit, frontier_history_);
+        if (unit == nullptr) return false;  // errored chain
+      }
+      units[i] = unit;
+    } else {
+      return false;  // members that refused to share: no live twin
+    }
+    if (!units[i]->status().ok() || units[i]->time() != tick) return false;
+  }
+  if (!s->AdoptUnits(units, tick)) return false;
+  for (size_t i = 0; i < n; ++i) {
+    UnitPool& pool = sharing_pool_[keys[i]];
+    if (pool.unit == nullptr) {
+      // Materialize at the second member exactly as AttachSharing does,
+      // seeded from the existing member's caught-up chain.
+      pool.unit = units[i];
+      UnitMember& m = pool.members.front();
+      m.delegated = m.query->session->DelegateUnit(m.unit, pool.unit);
+      if (m.delegated) pool.unit->AddReader();
+    }
+    pool.members.push_back(UnitMember{q, i, true});
+    q->shared_units.emplace_back(keys[i], i);
+    pool.unit->AddReader();
+  }
+  return true;
 }
 
 void QueryRegistry::AttachSharing(StandingQuery* q) {

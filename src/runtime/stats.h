@@ -234,6 +234,12 @@ struct RuntimeStats : SessionCounters {
   /// Textually identical registrations served from the prepared-plan cache
   /// instead of reparsing and reclassifying.
   uint64_t prepared_dedup_hits = 0;
+  /// Catch-ups that adopted a complete set of live shared units instead
+  /// of replaying the history (docs/SHARING.md), and catch-ups that
+  /// replayed it (no complete twin, sharing off, Safe or sampled queries,
+  /// restores without saved state).
+  uint64_t registrations_adopted = 0;
+  uint64_t registrations_replayed = 0;
   /// Registry-wide compiled-kernel cache: lookups across every session
   /// build plus the number of distinct kernels held.
   uint64_t kernel_cache_hits = 0;
@@ -311,6 +317,8 @@ struct RuntimeStats : SessionCounters {
     v("shared_steps_executed", &RuntimeStats::shared_steps_executed);
     v("shared_steps_saved", &RuntimeStats::shared_steps_saved);
     v("prepared_dedup_hits", &RuntimeStats::prepared_dedup_hits);
+    v("registrations_adopted", &RuntimeStats::registrations_adopted);
+    v("registrations_replayed", &RuntimeStats::registrations_replayed);
     v("kernel_cache_hits", &RuntimeStats::kernel_cache_hits);
     v("kernel_cache_misses", &RuntimeStats::kernel_cache_misses);
     v("kernel_cache_entries", &RuntimeStats::kernel_cache_entries);

@@ -11,7 +11,6 @@ const char* StreamKindName(StreamKind kind) {
     case StreamKind::kSmoothed: return "smoothed";
     case StreamKind::kSmoothedIndependent: return "smoothed_independent";
     case StreamKind::kTruth: return "truth";
-    case StreamKind::kDiurnal: return "diurnal";
   }
   return "?";
 }
@@ -22,8 +21,7 @@ Result<std::unique_ptr<EventDatabase>> Scenario::BuildDatabase(
   LAHAR_RETURN_NOT_OK(pipeline->DeclareWorld(db.get()));
   LAHAR_ASSIGN_OR_RETURN(Relation * person, db->DeclareRelation("Person", 1));
   Rng rng(seed ^ 0x5eed5eedULL);
-  for (size_t i = 0; i < tags.size(); ++i) {
-    const TagTrace& tag = tags[i];
+  for (const TagTrace& tag : tags) {
     LAHAR_RETURN_NOT_OK(person->Insert({db->Sym(tag.name)}));
     switch (kind) {
       case StreamKind::kFiltered: {
@@ -47,18 +45,6 @@ Result<std::unique_ptr<EventDatabase>> Scenario::BuildDatabase(
       case StreamKind::kTruth:
         LAHAR_RETURN_NOT_OK(pipeline->AddTruthStream(db.get(), tag).status());
         break;
-      case StreamKind::kDiurnal: {
-        const Timestamp T =
-            static_cast<Timestamp>(tag.readings.size()) - 1;
-        Timestamp from = 1, to = T;
-        if (i < active_windows.size()) {
-          from = active_windows[i].first;
-          to = active_windows[i].second;
-        }
-        LAHAR_RETURN_NOT_OK(
-            pipeline->AddDiurnalStream(db.get(), tag, from, to).status());
-        break;
-      }
     }
   }
   return db;
@@ -120,39 +106,6 @@ Result<Scenario> RandomWalkScenario(size_t num_tags, Timestamp horizon,
     Rng obs_rng = rng.Split();
     scenario.tags.push_back(scenario.pipeline->Observe(
         "tag" + std::to_string(i + 1), std::move(path), &obs_rng));
-  }
-  return scenario;
-}
-
-Result<Scenario> WideFloorplanScenario(size_t num_tags, Timestamp horizon,
-                                       uint64_t seed, PipelineConfig config) {
-  // The building is sized independently of the population: hundreds of tags
-  // share the same rooms, so the location domain (and with it the per-chain
-  // state) stays fixed while the registered-key count scales.
-  Floorplan fp = Floorplan::Building(2, 8);
-  Scenario scenario = MakeScenario(std::move(fp), config, seed);
-  Matrix motion =
-      scenario.floorplan->MotionModel(config.hall_stay, config.room_stay,
-                                      config.coffee_bias);
-  Rng rng(seed);
-  // Eight staggered shifts of ~horizon/8 ticks each: tag i is live only in
-  // shift i mod 8, so ~1/8 of the population is active at any tick and the
-  // rest of the streams sit on quiet all-bottom marginals.
-  const Timestamp shift =
-      std::max<Timestamp>(1, horizon / 8);
-  for (size_t i = 0; i < num_tags; ++i) {
-    Rng walk_rng = rng.Split();
-    uint32_t start = static_cast<uint32_t>(
-        walk_rng.Below(scenario.floorplan->num_locations()));
-    TruePath path = RandomWalkPath(*scenario.floorplan, motion, start, horizon,
-                                   &walk_rng);
-    Rng obs_rng = rng.Split();
-    scenario.tags.push_back(scenario.pipeline->Observe(
-        "tag" + std::to_string(i + 1), std::move(path), &obs_rng));
-    const Timestamp from =
-        std::min<Timestamp>(horizon, 1 + static_cast<Timestamp>(i % 8) * shift);
-    const Timestamp to = std::min<Timestamp>(horizon, from + shift - 1);
-    scenario.active_windows.emplace_back(from, to);
   }
   return scenario;
 }

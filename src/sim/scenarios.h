@@ -5,7 +5,6 @@
 
 #include <memory>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "model/database.h"
@@ -20,8 +19,6 @@ enum class StreamKind {
   kSmoothed,             ///< forward-backward + CPTs, Markovian (archived)
   kSmoothedIndependent,  ///< smoothed marginals without CPTs (ablation)
   kTruth,                ///< the certain ground-truth path
-  kDiurnal,              ///< exact filter inside each tag's activity window,
-                         ///< all-bottom (quiet) outside it
 };
 
 const char* StreamKindName(StreamKind kind);
@@ -31,10 +28,6 @@ struct Scenario {
   std::shared_ptr<const Floorplan> floorplan;
   std::shared_ptr<const TracePipeline> pipeline;
   std::vector<TagTrace> tags;
-  /// Per-tag [from, to] activity windows, index-aligned with `tags`; only
-  /// read by StreamKind::kDiurnal (a tag without an entry, or any tag under
-  /// the other kinds, is active over the whole horizon).
-  std::vector<std::pair<Timestamp, Timestamp>> active_windows;
   uint64_t seed = 0;
 
   /// Builds a database holding every tag's stream of the given kind, the
@@ -55,15 +48,6 @@ Result<Scenario> RandomWalkScenario(size_t num_tags, Timestamp horizon,
 /// One tag walking down a short corridor into a specific unsensed room and
 /// staying there (the Fig. 11 occupancy scenario; ~6 candidate rooms).
 Result<Scenario> RoomOccupancyScenario(Timestamp horizon, uint64_t seed,
-                                       PipelineConfig config = {});
-
-/// A fixed-size building shared by an arbitrarily large tag population with
-/// diurnal activity: each tag random-walks the floorplan but its stream is
-/// only "live" inside a staggered ~1/8-horizon window (all-bottom / quiet
-/// outside, via StreamKind::kDiurnal). At any tick only a small slice of the
-/// registered tags is active.
-Result<Scenario> WideFloorplanScenario(size_t num_tags, Timestamp horizon,
-                                       uint64_t seed,
                                        PipelineConfig config = {});
 
 }  // namespace lahar

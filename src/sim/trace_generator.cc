@@ -163,30 +163,6 @@ Result<StreamId> TracePipeline::AddSmoothedStream(EventDatabase* db,
   return db->AddStream(std::move(stream));
 }
 
-Result<StreamId> TracePipeline::AddDiurnalStream(EventDatabase* db,
-                                                 const TagTrace& tag,
-                                                 Timestamp active_from,
-                                                 Timestamp active_to) const {
-  const Timestamp T = static_cast<Timestamp>(tag.readings.size()) - 1;
-  active_from = std::max<Timestamp>(1, active_from);
-  active_to = std::min(T, active_to);
-  std::vector<std::vector<double>> marginals(T);
-  if (active_from <= active_to) {
-    Likelihoods likelihoods = sensor_.LikelihoodTrace(
-        {tag.readings.begin() + active_from,
-         tag.readings.begin() + active_to + 1});
-    LAHAR_ASSIGN_OR_RETURN(std::vector<std::vector<double>> active,
-                           model_.Filter(likelihoods));
-    for (Timestamp t = active_from; t <= active_to; ++t) {
-      marginals[t - 1] = std::move(active[t - active_from]);
-    }
-  }
-  // Ticks outside the window stay empty; AddMarginalStream turns an empty
-  // row into "all mass on bottom", which every engine treats as a quiet
-  // tick (the chain state passes through bit-identically unchanged).
-  return AddMarginalStream(db, tag.name, marginals);
-}
-
 Result<StreamId> TracePipeline::AddTruthStream(EventDatabase* db,
                                                const TagTrace& tag) const {
   const Timestamp T = static_cast<Timestamp>(tag.true_path.size()) - 1;

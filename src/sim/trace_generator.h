@@ -75,15 +75,6 @@ class TracePipeline {
   Result<StreamId> AddSmoothedIndependentStream(EventDatabase* db,
                                                 const TagTrace& tag) const;
 
-  /// Exact-filtered independent stream with a bounded activity window:
-  /// marginals are filtered inside [active_from, active_to] and all-bottom
-  /// (tag certainly absent — a quiet tick for the engines) outside it. The
-  /// diurnal shape of a badge that is only in the building part of the day;
-  /// WideFloorplanScenario is built from these.
-  Result<StreamId> AddDiurnalStream(EventDatabase* db, const TagTrace& tag,
-                                    Timestamp active_from,
-                                    Timestamp active_to) const;
-
   /// The true path as a certain stream (ground truth for metrics).
   Result<StreamId> AddTruthStream(EventDatabase* db, const TagTrace& tag) const;
 

@@ -189,6 +189,34 @@ TEST(IoTest, StreamEndingWithCptLineKeepsIt) {
   EXPECT_EQ(SnapshotOf(MarkovText({1, 2})), "");
 }
 
+// Lines of the other stream kind are refused with their line number, not
+// parsed and dropped.
+TEST(IoTest, RejectsLinesOfTheOtherStreamKind) {
+  const std::string indep =
+      "lahar-db 1\nschema At 1 tag location\n"
+      "stream At independent 2\nkey Joe\ndomain a\nmarginal 1 1:1\n";
+  ASSERT_FALSE(SnapshotOf(indep + "marginal 2 1:1\n").empty());
+  struct Case {
+    std::string text;
+    std::string error;
+  };
+  const Case cases[] = {
+      {indep + "cpt 1 0:0:0.2\nmarginal 2 1:1\n",
+       "cpt line inside an independent stream at line 7"},
+      {indep + "initial 0:0.5\nmarginal 2 1:1\n",
+       "initial line inside an independent stream at line 7"},
+      {MarkovText({1, 2}, "marginal 7 1:1\n") + "cpt 3 0:0:1 1:2:1 2:1:1\n",
+       "marginal line inside a markov stream at line 9"},
+  };
+  for (const Case& c : cases) {
+    std::stringstream ss(c.text);
+    auto db = ReadDatabase(&ss);
+    ASSERT_FALSE(db.ok()) << "should reject: " << c.text;
+    EXPECT_NE(db.status().ToString().find(c.error), std::string::npos)
+        << db.status().ToString();
+  }
+}
+
 TEST(IoTest, FileHelpersReportMissingPaths) {
   EXPECT_FALSE(ReadDatabaseFromFile("/no/such/file.db").ok());
   EventDatabase db;

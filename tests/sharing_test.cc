@@ -1,17 +1,22 @@
 // Cross-query shared evaluation (docs/SHARING.md): the canonicalizing
 // rewrite and SharedPlanIndex in the analysis layer, the registry's
 // exact-text prepared-plan dedup and sharing pool, group rebuilds under
-// register/unregister churn, and end-to-end equivalence — shared mode must
+// register/unregister churn, registration by adoption of live twins, and
+// end-to-end equivalence — shared mode must
 // publish probabilities and checkpoint bytes bit-identical to the
 // `unshared` verification mode.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <set>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "analysis/plan.h"
 #include "analysis/prepared.h"
+#include "common/rng.h"
 #include "engine/extended_engine.h"
 #include "runtime/executor.h"
 #include "runtime/registry.h"
@@ -215,10 +220,11 @@ TEST(RegistrySharingTest, ChurnDissolvesAndRematerializesGroups) {
   EXPECT_EQ(q1->session->Counters().shared_units, 0u);
   for (Timestamp t = 5; t <= 6; ++t) advance_all(t);
 
-  // A new alpha-variant member arrives mid-stream: catch-up replay brings
-  // it to the current tick and the group re-materializes.
+  // A new alpha-variant member arrives mid-stream: it adopts the group
+  // re-materialized from the survivor's live chain instead of replaying.
   auto id3 = registry.Register("At('tag1', z : Room(z))", 6);
   ASSERT_OK(id3.status());
+  EXPECT_EQ(registry.registrations_adopted(), 1u);
   EXPECT_EQ(registry.num_sharing_groups(), 1u);
   EXPECT_EQ(q1->session->Counters().shared_units, 1u);
   for (Timestamp t = 7; t <= kHorizon; ++t) advance_all(t);
@@ -419,6 +425,519 @@ TEST(SharingStatsTest, JsonAndTextCarrySharingFields) {
   const std::string text = stats.ToString();
   EXPECT_NE(text.find("sharing: groups=1"), std::string::npos) << text;
   EXPECT_NE(text.find("steps_saved=8"), std::string::npos) << text;
+}
+
+// --- Registration by adoption ---------------------------------------------
+// A session registered while every one of its chains has a live twin in the
+// sharing pool adopts the twins' state instead of replaying the history.
+// The `unshared` mode always replays, so it is the oracle: in every case
+// below both modes publish equal P[q@t] and save equal state bytes.
+
+// The serialized state of a session (its checkpoint entry).
+std::string SavedState(const QuerySession& session) {
+  serial::Writer w;
+  EXPECT_OK(session.SaveState(&w));
+  return w.str();
+}
+
+// Two registries over two live databases fed identical ticks: [0] shares,
+// [1] is the `unshared` oracle. Every tick, and after every registry
+// change, each session must publish the same P[q@t] and save the same
+// state bytes in both modes. Each key is one At stream over `values`;
+// every tick puts pseudo-random mass on two of the values.
+class Lockstep {
+ public:
+  Lockstep(std::vector<std::string> values, uint64_t seed)
+      : values_(std::move(values)), rng_(seed) {
+    for (size_t m = 0; m < 2; ++m) {
+      dbs_[m] = std::make_unique<EventDatabase>();
+      AddRelation(dbs_[m].get(), "Room", {{"kitchen"}, {"lounge"}, {"office"}});
+      AddRelation(dbs_[m].get(), "Lounge", {{"lounge"}});
+      SharingOptions sharing;
+      sharing.enabled = m == 0;
+      registries_[m] = std::make_unique<QueryRegistry>(
+          dbs_[m].get(), LaharOptions{}, sharing);
+    }
+  }
+
+  QueryRegistry& shared() { return *registries_[0]; }
+  QueryRegistry& unshared() { return *registries_[1]; }
+
+  // A new key with a fresh history up to the current tick.
+  void AddKey(const std::string& key) {
+    std::vector<StepDist> history;
+    for (Timestamp t = 1; t <= t_; ++t) history.push_back(RandomStep());
+    for (auto& db : dbs_) {
+      ::lahar::testing::DeclareUnarySchema(db.get(), "At");
+      Stream s(db->interner().Intern("At"), {db->Sym(key)}, 1, 0,
+               /*markovian=*/false);
+      for (const std::string& v : values_) s.InternTuple({db->Sym(v)});
+      auto id = db->AddStream(std::move(s));
+      ASSERT_OK(id.status());
+      for (const StepDist& step : history) Append(db.get(), *id, step);
+    }
+  }
+
+  // Interns `value` into every stream mid-stream; later ticks draw on it.
+  void Grow(const std::string& value) {
+    values_.push_back(value);
+    for (auto& db : dbs_) {
+      for (StreamId s = 0; s < db->num_streams(); ++s) {
+        db->stream(s).InternTuple({db->Sym(value)});
+      }
+    }
+  }
+
+  QueryId Register(const std::string& text) {
+    Result<QueryId> ids[2] = {registries_[0]->Register(text, t_),
+                              registries_[1]->Register(text, t_)};
+    EXPECT_TRUE(ids[0].ok()) << ids[0].status().ToString() << " for " << text;
+    EXPECT_TRUE(ids[1].ok()) << ids[1].status().ToString() << " for " << text;
+    if (!ids[0].ok() || !ids[1].ok()) return 0;
+    EXPECT_EQ(*ids[0], *ids[1]);
+    ExpectSameState();
+    return *ids[0];
+  }
+
+  void Unregister(QueryId id) {
+    for (auto& registry : registries_) EXPECT_OK(registry->Unregister(id));
+    ExpectSameState();
+  }
+
+  void AdvanceTo(Timestamp to) {
+    while (t_ < to) {
+      ++t_;
+      for (StreamId s = 0; s < dbs_[0]->num_streams(); ++s) {
+        const StepDist step = RandomStep();
+        for (auto& db : dbs_) Append(db.get(), s, step);
+      }
+      std::array<std::vector<double>, 2> probs;
+      for (size_t m = 0; m < 2; ++m) {
+        registries_[m]->AdvanceSharedUnits(t_);
+        for (const auto& q : registries_[m]->queries()) {
+          auto p = q->session->Advance();
+          ASSERT_OK(p.status());
+          probs[m].push_back(*p);
+        }
+      }
+      ASSERT_EQ(probs[0].size(), probs[1].size());
+      for (size_t i = 0; i < probs[0].size(); ++i) {
+        EXPECT_EQ(probs[0][i], probs[1][i]) << "query #" << i << " at t=" << t_;
+      }
+      ExpectSameState();
+    }
+  }
+
+  void ExpectSameState() {
+    const auto& a = registries_[0]->queries();
+    const auto& b = registries_[1]->queries();
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a[i]->session->time(), t_);
+      EXPECT_TRUE(SavedState(*a[i]->session) == SavedState(*b[i]->session))
+          << "state of query " << a[i]->id << " at t=" << t_;
+    }
+  }
+
+ private:
+  StepDist RandomStep() {
+    const std::string& a = values_[rng_.Below(values_.size())];
+    const std::string& b = values_[rng_.Below(values_.size())];
+    const double pa = 0.05 + 0.5 * rng_.Uniform();
+    const double pb = 0.4 * rng_.Uniform();
+    return a == b ? StepDist{{a, pa + pb}} : StepDist{{a, pa}, {b, pb}};
+  }
+
+  static void Append(EventDatabase* db, StreamId id, const StepDist& step) {
+    const Stream& s = db->stream(id);
+    std::vector<double> dist(s.domain_size(), 0.0);
+    double total = 0;
+    for (const auto& [name, p] : step) {
+      dist[s.LookupTuple({db->Sym(name)})] += p;
+      total += p;
+    }
+    dist[kBottom] = 1.0 - total;
+    ASSERT_OK(db->AppendMarginal(id, dist));
+  }
+
+  std::vector<std::string> values_;
+  Rng rng_;
+  Timestamp t_ = 0;
+  std::array<std::unique_ptr<EventDatabase>, 2> dbs_;
+  std::array<std::unique_ptr<QueryRegistry>, 2> registries_;
+};
+
+const std::vector<std::string> kLocations = {"kitchen", "lounge", "office",
+                                             "hall"};
+constexpr const char* kTwin = "At(x, a : Room(a)); At(x, b : Lounge(b))";
+constexpr const char* kTwinVariant = "At(y, c : Room(c)); At(y, d : Lounge(d))";
+
+TEST(AdoptionTest, JoinsLiveTwinsWithoutReplay) {
+  Lockstep run(kLocations, /*seed=*/11);
+  for (const char* key : {"tag1", "tag2", "tag3"}) run.AddKey(key);
+  const QueryId twin = run.Register(kTwin);
+  run.AdvanceTo(5);
+  // Every pool has the twin as its one member: the units are materialized
+  // from the twin's chains, the twin reads them from now on, and the
+  // newcomer joins them at tick 5.
+  const QueryId newcomer = run.Register(kTwinVariant);
+  EXPECT_EQ(run.shared().registrations_adopted(), 1u);
+  EXPECT_EQ(run.shared().registrations_replayed(), 1u);  // the twin, at t=0
+  EXPECT_EQ(run.shared().num_sharing_groups(), 3u);
+  EXPECT_EQ(run.shared().SharingFanouts(), std::vector<size_t>(3, 2));
+  for (QueryId id : {twin, newcomer}) {
+    StandingQuery* q = run.shared().Find(id);
+    ASSERT_NE(q, nullptr);
+    EXPECT_EQ(q->session->Counters().shared_units, 3u) << "query " << id;
+  }
+  run.AdvanceTo(9);
+  // A grounded chain joins a live unit.
+  run.Register("At('tag2', e : Room(e)); At('tag2', f : Lounge(f))");
+  EXPECT_EQ(run.shared().registrations_adopted(), 2u);
+  EXPECT_EQ(run.shared().num_sharing_groups(), 3u);
+  run.AdvanceTo(16);
+  EXPECT_GT(run.shared().shared_steps_saved(), 0u);
+  EXPECT_EQ(run.unshared().registrations_adopted(), 0u);
+  EXPECT_EQ(run.unshared().registrations_replayed(), 3u);
+}
+
+TEST(AdoptionTest, UnregisteringTheTwinAtOnceHandsItsStateBack) {
+  Lockstep run(kLocations, /*seed=*/12);
+  for (const char* key : {"tag1", "tag2"}) run.AddKey(key);
+  const QueryId twin = run.Register(kTwin);
+  run.AdvanceTo(6);
+  const QueryId newcomer = run.Register(kTwinVariant);
+  EXPECT_EQ(run.shared().registrations_adopted(), 1u);
+  // The units drop to one reader and dissolve in the same tick: the
+  // newcomer copies their chains back and steps them privately.
+  run.Unregister(twin);
+  EXPECT_EQ(run.shared().num_sharing_groups(), 0u);
+  StandingQuery* q = run.shared().Find(newcomer);
+  ASSERT_NE(q, nullptr);
+  EXPECT_EQ(q->session->Counters().shared_units, 0u);
+  run.AdvanceTo(14);
+}
+
+TEST(AdoptionTest, SurvivesDomainGrowthBetweenTwinAndAdoption) {
+  // The twin's chains are built before 'lounge' exists and refresh their
+  // symbol tables when it arrives; the unshared newcomer compiles over the
+  // grown domain and replays. Adopting the twins' state must still agree.
+  Lockstep run({"kitchen", "office"}, /*seed=*/13);
+  for (const char* key : {"tag1", "tag2"}) run.AddKey(key);
+  run.Register(kTwin);
+  run.Register("At('tag1', a : Room(a)); At('tag1', b : Lounge(b))");
+  run.AdvanceTo(4);
+  run.Grow("lounge");
+  run.AdvanceTo(8);
+  run.Register(kTwinVariant);
+  EXPECT_EQ(run.shared().registrations_adopted(), 1u);
+  run.AdvanceTo(16);
+}
+
+TEST(AdoptionTest, ReplaysWhenAStreamArrivedAfterTheTwin) {
+  Lockstep run(kLocations, /*seed=*/14);
+  for (const char* key : {"tag1", "tag2"}) run.AddKey(key);
+  run.Register(kTwin);
+  run.AdvanceTo(5);
+  run.AddKey("tag3");  // the twin's keys were fixed at its creation
+  run.AdvanceTo(7);
+  run.Register(kTwinVariant);
+  EXPECT_EQ(run.shared().registrations_adopted(), 0u);
+  EXPECT_EQ(run.shared().registrations_replayed(), 2u);
+  // The replayed newcomer still pools the chains the twin has.
+  EXPECT_EQ(run.shared().num_sharing_groups(), 2u);
+  run.AdvanceTo(14);
+}
+
+TEST(AdoptionTest, ReplaysOnPartialOverlapThenAdoptsOnceComplete) {
+  Lockstep run(kLocations, /*seed=*/15);
+  for (const char* key : {"tag1", "tag2", "tag3"}) run.AddKey(key);
+  run.Register("At('tag1', a : Room(a)); At('tag1', b : Lounge(b))");
+  run.AdvanceTo(5);
+  run.Register(kTwin);  // only tag1's chain has a twin
+  EXPECT_EQ(run.shared().registrations_adopted(), 0u);
+  EXPECT_EQ(run.shared().registrations_replayed(), 2u);
+  EXPECT_EQ(run.shared().num_sharing_groups(), 1u);
+  run.AdvanceTo(8);
+  run.Register(kTwinVariant);  // now every chain has one
+  EXPECT_EQ(run.shared().registrations_adopted(), 1u);
+  EXPECT_EQ(run.shared().num_sharing_groups(), 3u);
+  run.AdvanceTo(14);
+}
+
+// The engine entry point is all or nothing. A unit whose chain latched an
+// error is refused too; through the registry that case cannot arise with a
+// creatable newcomer, because the symbol-table refresh that fails in the
+// twin's chain fails the newcomer's creation as well.
+TEST(AdoptionTest, AdoptUnitsIsAllOrNothing) {
+  auto db = SmallDb(8);
+  const std::string q = "At('tag1', l : Room(l))";
+  auto twin = ChainSession(db.get(), q);
+  auto fresh = ChainSession(db.get(), q);
+  auto replayed = ChainSession(db.get(), q);
+  auto broken = ChainSession(db.get(), q);
+  ASSERT_OK(twin.status());
+  ASSERT_OK(fresh.status());
+  ASSERT_OK(replayed.status());
+  ASSERT_OK(broken.status());
+  ASSERT_OK(twin->RunToHorizon(4).status());
+  std::shared_ptr<SharedSubChain> unit = twin->MakeSharedUnit(0, 4);
+  ASSERT_NE(unit, nullptr);
+
+  EXPECT_FALSE(fresh->AdoptUnits({unit}, 3));  // unit not live at tick 3
+  EXPECT_FALSE(fresh->AdoptUnits({unit, unit}, 4));
+  EXPECT_FALSE(fresh->AdoptUnits({nullptr}, 4));
+  EXPECT_EQ(fresh->time(), 0u);
+  EXPECT_EQ(fresh->Counters().shared_units, 0u);
+
+  ASSERT_TRUE(fresh->AdoptUnits({unit}, 4));
+  EXPECT_EQ(fresh->time(), 4u);
+  EXPECT_EQ(fresh->Counters().shared_units, 1u);
+  EXPECT_FALSE(fresh->AdoptUnits({unit}, 4));  // no longer fresh
+  ASSERT_OK(replayed->RunToHorizon(4).status());
+  EXPECT_EQ(SavedState(*fresh), SavedState(*replayed));
+  for (Timestamp t = 5; t <= 6; ++t) {
+    unit->AdvanceTo(t);
+    EXPECT_EQ(::lahar::testing::MustAdvance(*fresh),
+              ::lahar::testing::MustAdvance(*replayed));
+  }
+  // Undelegation copies the unit's chain back; stepping resumes privately.
+  ASSERT_TRUE(fresh->DelegateUnit(0, nullptr));
+  for (Timestamp t = 7; t <= 8; ++t) {
+    EXPECT_EQ(::lahar::testing::MustAdvance(*fresh),
+              ::lahar::testing::MustAdvance(*replayed));
+  }
+  EXPECT_EQ(SavedState(*fresh), SavedState(*replayed));
+
+  // A null value cannot be matched against Room(l): the broken session's
+  // next symbol refresh latches the error.
+  auto late = ChainSession(db.get(), q);
+  ASSERT_OK(late.status());
+  ASSERT_OK(broken->RunToHorizon(2).status());
+  db->stream(0).InternTuple({Value()});
+  EXPECT_FALSE(broken->Advance().ok());
+  auto errored = std::make_shared<SharedSubChain>(broken->chain(0), 4);
+  ASSERT_FALSE(errored->status().ok());
+  EXPECT_FALSE(late->AdoptUnits({errored}, 3));
+  EXPECT_EQ(late->time(), 0u);
+}
+
+// One step of a runtime schedule, taken once tick `at` is published and
+// before any later batch is pushed.
+struct Action {
+  enum Kind { kRegister, kUnregister, kCheckpoint };
+  Kind kind;
+  Timestamp at;
+  std::string text;  // kRegister
+  size_t query = 0;  // kUnregister: position in registration order
+};
+
+struct ScheduleRun {
+  std::vector<TickResult> results;
+  std::vector<std::string> checkpoints;  // each kCheckpoint, then a final one
+  RuntimeStats stats;
+};
+
+// Replays `archive` through a running StreamRuntime. Batches are pushed up
+// to each action's tick and no further, so the actions land on exactly the
+// scheduled ticks (in both sharing modes) while the ticks in between still
+// run as windows.
+void RunSchedule(const EventDatabase& archive, const RuntimeOptions& options,
+                 const std::vector<Action>& actions, ScheduleRun* out) {
+  auto live = CloneDeclarations(archive);
+  ASSERT_OK(live.status());
+  auto batches = ExtractBatches(archive);
+  ASSERT_OK(batches.status());
+  StreamRuntime runtime(live->get(), options);
+  runtime.SetTickCallback(
+      [out](const TickResult& r) { out->results.push_back(r); });
+  runtime.Start();
+  Timestamp pushed = 0;
+  auto reach = [&](Timestamp t) {
+    for (; pushed < t; ++pushed) {
+      ASSERT_OK(runtime.ingest().Push((*batches)[pushed], 120000ms));
+    }
+    ASSERT_TRUE(runtime.WaitForTick(t, 120000ms));
+  };
+  std::vector<QueryId> ids;
+  for (const Action& a : actions) {
+    reach(a.at);
+    if (::testing::Test::HasFatalFailure()) return;
+    switch (a.kind) {
+      case Action::kRegister: {
+        auto id = runtime.Register(a.text);
+        ASSERT_TRUE(id.ok()) << id.status().ToString() << " for " << a.text;
+        ids.push_back(*id);
+        break;
+      }
+      case Action::kUnregister:
+        ASSERT_OK(runtime.Unregister(ids.at(a.query)));
+        break;
+      case Action::kCheckpoint: {
+        auto snap = runtime.Checkpoint();
+        ASSERT_OK(snap.status());
+        out->checkpoints.push_back(std::move(*snap));
+        break;
+      }
+    }
+  }
+  reach(archive.horizon());
+  if (::testing::Test::HasFatalFailure()) return;
+  out->stats = runtime.Stats();
+  auto snap = runtime.Checkpoint();
+  ASSERT_OK(snap.status());
+  out->checkpoints.push_back(std::move(*snap));
+  runtime.Stop();
+}
+
+void ExpectSameResults(const std::vector<TickResult>& got,
+                       const std::vector<TickResult>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].t, want[i].t);
+    ASSERT_EQ(got[i].probs.size(), want[i].probs.size()) << "t=" << got[i].t;
+    for (size_t q = 0; q < got[i].probs.size(); ++q) {
+      EXPECT_EQ(got[i].probs[q].first, want[i].probs[q].first);
+      EXPECT_EQ(got[i].probs[q].second, want[i].probs[q].second)
+          << "query " << got[i].probs[q].first << " at t=" << got[i].t;
+    }
+  }
+}
+
+void ExpectSameCheckpoints(const std::vector<std::string>& got,
+                           const std::vector<std::string>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_TRUE(got[i] == want[i]) << "checkpoint #" << i << " differs";
+  }
+}
+
+std::unique_ptr<EventDatabase> WalkArchive(Timestamp horizon) {
+  PipelineConfig config;
+  config.num_particles = 32;
+  auto scenario = RandomWalkScenario(3, horizon, /*seed=*/2008, config);
+  EXPECT_OK(scenario.status());
+  if (!scenario.ok()) return nullptr;
+  auto archive = scenario->BuildDatabase(StreamKind::kFiltered);
+  EXPECT_OK(archive.status());
+  return archive.ok() ? std::move(*archive) : nullptr;
+}
+
+// (max_window_ticks, num_threads)
+class AdoptionRuntimeTest
+    : public ::testing::TestWithParam<std::tuple<size_t, size_t>> {};
+
+// Twins registered at random ticks while ticks stream in, with a
+// checkpoint right after each: every published value and every checkpoint
+// byte equals the unshared run, and every twin adopted.
+TEST_P(AdoptionRuntimeTest, TwinsRegisteredAtRandomTicksMatchUnshared) {
+  const auto [window, threads] = GetParam();
+  constexpr Timestamp kHorizon = 80;
+  constexpr size_t kTwins = 6;
+  auto archive = WalkArchive(kHorizon);
+  ASSERT_NE(archive, nullptr);
+
+  std::vector<Action> actions = {
+      {Action::kRegister, 0, "At(x, l1 : NotRoom(l1)); At(x, l2 : Room(l2))"},
+      {Action::kRegister, 0, "At('tag1', l : Room(l))"},
+      {Action::kRegister, 0, "At(x, l : Hallway(l))"},
+  };
+  Rng rng(window * 10 + threads);
+  std::set<Timestamp> ticks;
+  while (ticks.size() < kTwins) {
+    ticks.insert(static_cast<Timestamp>(1 + rng.Below(kHorizon - 1)));
+  }
+  size_t k = 0;
+  for (Timestamp t : ticks) {
+    const std::string v = "v" + std::to_string(k);
+    const std::string w = "w" + std::to_string(k);
+    std::string text;
+    switch (k++ % 3) {
+      case 0:
+        text = "At(" + v + ", a" + v + " : NotRoom(a" + v + ")); At(" + v +
+               ", b" + v + " : Room(b" + v + "))";
+        break;
+      case 1:
+        text = "At('tag1', " + v + " : Room(" + v + "))";
+        break;
+      default:
+        text = "At(" + v + ", " + w + " : Hallway(" + w + "))";
+    }
+    actions.push_back({Action::kRegister, t, text});
+    actions.push_back({Action::kCheckpoint, t, ""});
+  }
+
+  RuntimeOptions shared_options;
+  shared_options.num_threads = threads;
+  shared_options.max_window_ticks = window;
+  RuntimeOptions unshared_options = shared_options;
+  unshared_options.sharing.enabled = false;
+  ScheduleRun shared, unshared;
+  RunSchedule(*archive, shared_options, actions, &shared);
+  ASSERT_FALSE(HasFatalFailure());
+  RunSchedule(*archive, unshared_options, actions, &unshared);
+  ASSERT_FALSE(HasFatalFailure());
+
+  ExpectSameResults(shared.results, unshared.results);
+  ExpectSameCheckpoints(shared.checkpoints, unshared.checkpoints);
+  EXPECT_EQ(shared.stats.registrations_adopted, kTwins);
+  EXPECT_EQ(shared.stats.registrations_replayed, 3u);
+  EXPECT_EQ(unshared.stats.registrations_adopted, 0u);
+  EXPECT_EQ(unshared.stats.registrations_replayed, 3u + kTwins);
+}
+
+INSTANTIATE_TEST_SUITE_P(WindowsAndThreads, AdoptionRuntimeTest,
+                         ::testing::Combine(::testing::Values(1, 16),
+                                            ::testing::Values(1, 4)));
+
+// A checkpoint taken right after an adoption restores into either sharing
+// mode and continues exactly as the uninterrupted run.
+TEST(AdoptionRestoreTest, CheckpointRightAfterAdoptionRestoresInBothModes) {
+  constexpr Timestamp kHorizon = 48;
+  constexpr Timestamp kAdoptAt = 20;
+  auto archive = WalkArchive(kHorizon);
+  ASSERT_NE(archive, nullptr);
+  const std::vector<Action> actions = {
+      {Action::kRegister, 0, "At(x, l1 : NotRoom(l1)); At(x, l2 : Room(l2))"},
+      {Action::kRegister, 0, "At('tag2', l : Hallway(l))"},
+      {Action::kRegister, kAdoptAt,
+       "At(p, m1 : NotRoom(m1)); At(p, m2 : Room(m2))"},
+      {Action::kRegister, kAdoptAt, "At('tag2', h : Hallway(h))"},
+      {Action::kCheckpoint, kAdoptAt, ""},
+  };
+  RuntimeOptions options;
+  options.num_threads = 2;
+  ScheduleRun run;
+  RunSchedule(*archive, options, actions, &run);
+  ASSERT_FALSE(HasFatalFailure());
+  ASSERT_EQ(run.checkpoints.size(), 2u);
+  EXPECT_EQ(run.stats.registrations_adopted, 2u);
+
+  auto batches = ExtractBatches(*archive);
+  ASSERT_OK(batches.status());
+  const std::vector<TickResult> want(run.results.begin() + kAdoptAt,
+                                     run.results.end());
+  for (bool sharing : {true, false}) {
+    SCOPED_TRACE(sharing ? "restored shared" : "restored unshared");
+    auto clone = CloneDeclarations(*archive);
+    ASSERT_OK(clone.status());
+    RuntimeOptions resumed_options = options;
+    resumed_options.sharing.enabled = sharing;
+    StreamRuntime resumed(clone->get(), resumed_options);
+    ASSERT_OK(resumed.Restore(run.checkpoints[0]));
+    std::vector<TickResult> tail;
+    resumed.SetTickCallback([&](const TickResult& r) { tail.push_back(r); });
+    resumed.Start();
+    for (const TickBatch& b : *batches) {
+      if (b.t > kAdoptAt) ASSERT_OK(resumed.ingest().Push(b, 120000ms));
+    }
+    ASSERT_TRUE(resumed.WaitForTick(kHorizon, 120000ms));
+    auto final_snap = resumed.Checkpoint();
+    ASSERT_OK(final_snap.status());
+    resumed.Stop();
+    ExpectSameResults(tail, want);
+    EXPECT_TRUE(*final_snap == run.checkpoints[1]);
+  }
 }
 
 }  // namespace

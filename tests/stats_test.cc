@@ -52,6 +52,8 @@ RuntimeStats GoldenStats() {
   s.shared_steps_saved = 17;
   s.sharing_fanout_hist = {0, 2, 1};
   s.prepared_dedup_hits = 18;
+  s.registrations_adopted = 72;
+  s.registrations_replayed = 73;
   s.kernel_cache_hits = 19;
   s.kernel_cache_misses = 20;
   s.kernel_cache_entries = 21;
@@ -139,6 +141,7 @@ TEST(StatsExportTest, GoldenJson) {
       "\"safe_row_rebuilds\":0,\"bytes_resident\":25,"
       "\"sharing_groups\":15,\"shared_steps_executed\":16,"
       "\"shared_steps_saved\":17,\"prepared_dedup_hits\":18,"
+      "\"registrations_adopted\":72,\"registrations_replayed\":73,"
       "\"kernel_cache_hits\":19,\"kernel_cache_misses\":20,"
       "\"kernel_cache_entries\":21,\"shared_units\":0,\"simd_units\":22,"
       "\"stripe_steps\":23,\"stripe_fallbacks\":24,"
@@ -192,8 +195,10 @@ TEST(StatsExportTest, GoldenText) {
       "memo_evictions=12 rows_live=13 row_evictions=14 row_rebuilds=0\n"
       "  memory: bytes_resident=25\n"
       "  sharing: groups=15 shared_steps_executed=16 "
-      "shared_steps_saved=17 prepared_dedup_hits=18 kernel_cache_hits=19 "
-      "kernel_cache_misses=20 kernel_cache_entries=21 shared_units=0 "
+      "shared_steps_saved=17 prepared_dedup_hits=18 "
+      "registrations_adopted=72 registrations_replayed=73 "
+      "kernel_cache_hits=19 kernel_cache_misses=20 kernel_cache_entries=21 "
+      "shared_units=0 "
       "simd_units=22 stripe_steps=23 stripe_fallbacks=24 "
       "fanout_hist=[0 2 1]\n"
       "  class_latency Regular: count=41 min_us=1.000 mean_us=1.500 "
